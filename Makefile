@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race fuzz bench-guard bench-core bench-nn bench-topo bench-sweep bench-lab analyze lab check clean
+.PHONY: all build vet test race e2ebench-test fuzz bench-guard bench-core bench-nn bench-topo bench-sweep bench-lab analyze lab check clean
 
 all: check
 
@@ -15,6 +15,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The benchmark's self-tests. e2ebench/ is its own module, so ./... from
+# the root never reaches it; its TestTracedMatchesUntraced pins
+# RunFlows' exact call and event order.
+e2ebench-test:
+	$(GO) -C e2ebench vet ./...
+	$(GO) -C e2ebench test ./...
 
 # Telemetry overhead guard: the disabled tracer path must stay under
 # 2 ns/op with zero allocations. TestNopTracerBudget measures it with
@@ -81,11 +88,13 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParseTopo -fuzztime=10s ./internal/exp/
 
 # Trace→analytics smoke: record a short two-flow run with -trace-out,
-# pipe it through `libra-trace analyze -json`, and assert the report
-# parses and covers every flow with completed control cycles.
+# validate the stream against the event schema, pipe it through
+# `libra-trace analyze -json`, and assert the report parses and covers
+# every flow with completed control cycles.
 analyze:
 	tmp=$$(mktemp -d) && \
 	$(GO) run ./cmd/libra-sim -cca c-libra,c-libra -capacity 24 -dur 5s -seed 7 -trace-out $$tmp/events.jsonl >/dev/null && \
+	$(GO) run ./cmd/libra-trace -validate $$tmp/events.jsonl && \
 	$(GO) run ./cmd/libra-trace analyze -json $$tmp/events.jsonl | $(GO) run ./scripts/analyzecheck -flows 2 && \
 	rm -rf $$tmp
 
@@ -99,7 +108,7 @@ lab:
 	$(GO) run ./cmd/libra-lab tournament -cca cubic,bbr -budget 14 -dur 3s -seed 7 && \
 	rm -rf $$tmp
 
-check: vet build race fuzz bench-guard bench-core bench-nn bench-topo bench-sweep bench-lab analyze lab
+check: vet build race e2ebench-test fuzz bench-guard bench-core bench-nn bench-topo bench-sweep bench-lab analyze lab
 
 clean:
 	$(GO) clean ./...

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"libra/internal/core"
@@ -23,19 +24,27 @@ func cpuFracBuckets() []float64 {
 	return []float64{1e-6, 1e-5, 1e-4, 1e-3, 3e-3, 0.01, 0.03, 0.1, 0.3, 1}
 }
 
-// Observe computes one flow's run metrics and records them in the
-// context's registry. It is the single summarisation path shared by
-// the runner and the CLIs.
+// Observe computes one flow's run metrics on a single-bottleneck
+// network and records them in the context's registry, the way the
+// runner summarises its own flows.
 func (rc *RunContext) Observe(n *netem.Network, f *netem.Flow, d time.Duration) Metrics {
 	rc.WithDefaults()
+	m := rc.observe(n.Topology, n.Routes()[0], f, d)
+	m.Net = n
+	return m
+}
+
+// observe is the one summariser: utilization comes from the main
+// route's bottleneck hop (on the single bottleneck, its one link).
+func (rc *RunContext) observe(tp *netem.Topology, main *netem.Route, f *netem.Flow, d time.Duration) Metrics {
 	m := Metrics{
-		Util:     n.Utilization(d),
+		Util:     tp.LinkUtilization(tp.RouteBottleneck(main, d), d),
 		ThrMbps:  trace.ToMbps(f.Stats.AvgThroughput()),
 		DelayMs:  float64(f.Stats.AvgRTT()) / float64(time.Millisecond),
 		LossRate: f.Stats.LossRate(),
 		CPUFrac:  float64(f.Stats.ComputeNs) / float64(d.Nanoseconds()),
 		Flow:     f,
-		Net:      n,
+		Topo:     tp,
 		Ctrl:     f.Controller(),
 	}
 	rc.recordFlow(f, m)
@@ -94,37 +103,65 @@ func (rc *RunContext) recordFlow(f *netem.Flow, m Metrics) {
 // counters are cumulative).
 func (rc *RunContext) ObserveLink(n *netem.Network, d time.Duration) {
 	rc.WithDefaults()
-	rc.recordLink(n, d)
+	rc.recordLinks(n.Topology, n.Routes()[0], d)
 }
 
-// recordLink pushes one network's bottleneck summary into the
-// registry; call once per run (drop counters are cumulative per link).
-// Reasons are walked in a fixed order so metric registration — and
-// therefore help-text attribution — never depends on map iteration.
-func (rc *RunContext) recordLink(n *netem.Network, d time.Duration) {
+// recordLinks pushes every link's summary into the registry, then the
+// main route's bottleneck utilization and mean queue; call once per
+// run (drop counters are cumulative per link). The unlabelled single
+// bottleneck records under bare names, a labelled hop under
+// {link="…"}. Links go in construction order and reasons in a fixed
+// order, so metric registration — and therefore help-text attribution
+// — never depends on map iteration.
+func (rc *RunContext) recordLinks(tp *netem.Topology, main *netem.Route, d time.Duration) {
 	reg := rc.Metrics
-	ds := n.Link().DropStats()
-	for _, rv := range []struct {
-		reason string
-		v      int64
-	}{
-		{telemetry.ReasonTail, ds.Tail},
-		{telemetry.ReasonChannel, ds.Channel},
-		{telemetry.ReasonAQM, ds.AQM},
-		{telemetry.ReasonBlackout, ds.Blackout},
-		{telemetry.ReasonBurst, ds.Burst},
-	} {
-		reg.Counter(fmt.Sprintf("libra_link_drops_total{reason=%q}", rv.reason),
-			"bottleneck drops by reason").Add(rv.v)
+	for _, l := range tp.Links() {
+		link, drops, at, through := "", "bottleneck drops by reason", "at the bottleneck", "through the bottleneck"
+		if l.Label() != "" {
+			link, drops, at, through = fmt.Sprintf("link=%q", l.Label()), "per-hop drops by reason", "per hop", "per hop"
+		}
+		ds := l.DropStats()
+		for _, rv := range []struct {
+			reason string
+			v      int64
+		}{
+			{telemetry.ReasonTail, ds.Tail},
+			{telemetry.ReasonChannel, ds.Channel},
+			{telemetry.ReasonAQM, ds.AQM},
+			{telemetry.ReasonBlackout, ds.Blackout},
+			{telemetry.ReasonBurst, ds.Burst},
+		} {
+			reg.Counter("libra_link_drops_total"+labelSet(link, fmt.Sprintf("reason=%q", rv.reason)), drops).Add(rv.v)
+		}
+		reg.Counter("libra_link_dropped_bytes_total"+labelSet(link), "bytes dropped "+at).Add(ds.Bytes)
+		reg.Counter("libra_link_marked_total"+labelSet(link), "packets CE-marked "+at).Add(ds.Marked)
+		reg.Counter("libra_link_delivered_bytes_total"+labelSet(link), "bytes serialized "+through).
+			Add(l.DeliveredBytes())
+		if link != "" {
+			reg.Gauge("libra_link_utilization"+labelSet(link),
+				"per-hop delivered bytes / mean capacity of the last recorded run").Set(tp.LinkUtilization(l, d))
+		}
 	}
-	reg.Counter("libra_link_dropped_bytes_total", "bytes dropped at the bottleneck").Add(ds.Bytes)
-	reg.Counter("libra_link_marked_total", "packets CE-marked at the bottleneck").Add(ds.Marked)
-	reg.Counter("libra_link_delivered_bytes_total", "bytes serialized through the bottleneck").
-		Add(n.Link().DeliveredBytes())
+	b := tp.RouteBottleneck(main, d)
 	reg.Gauge("libra_link_utilization", "delivered bytes / mean capacity of the last recorded run").
-		Set(n.Utilization(d))
+		Set(tp.LinkUtilization(b, d))
 	reg.Gauge("libra_link_mean_queue_bytes", "time-averaged bottleneck occupancy of the last recorded run").
-		Set(n.Link().MeanQueueBytes(n.Eng.Now()))
+		Set(b.MeanQueueBytes(tp.Eng.Now()))
+}
+
+// labelSet renders a metric's {…} label block from its non-empty
+// label pairs ("" when none is left).
+func labelSet(pairs ...string) string {
+	var kept []string
+	for _, p := range pairs {
+		if p != "" {
+			kept = append(kept, p)
+		}
+	}
+	if len(kept) == 0 {
+		return ""
+	}
+	return "{" + strings.Join(kept, ",") + "}"
 }
 
 // EmitSpan emits a harness-level causal-span boundary (scenario, flow,

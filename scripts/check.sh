@@ -9,6 +9,11 @@ cd "$(dirname "$0")/.."
 go vet ./...
 go build ./...
 go test -race ./...
+# The benchmark's self-tests: e2ebench/ is its own module, which ./...
+# from the root never reaches. TestTracedMatchesUntraced pins RunFlows'
+# exact call and event order.
+go -C e2ebench vet ./...
+go -C e2ebench test ./...
 # Fault-injection paths again under the race detector with full (non
 # -short) sweeps, then a short fuzz pass over the two external-input
 # parsers (the Mahimahi trace reader and the FaultPlan JSON decoder).
