@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race e2ebench-test fuzz bench-guard bench-core bench-nn bench-topo bench-sweep bench-lab analyze lab check clean
+.PHONY: all build vet test race e2ebench-test fuzz bench-guard bench-core bench-nn bench-topo bench-sweep bench-lab analyze lab sink-smoke check clean
 
 all: check
 
@@ -98,6 +98,12 @@ analyze:
 	$(GO) run ./cmd/libra-trace analyze -json $$tmp/events.jsonl | $(GO) run ./scripts/analyzecheck -flows 2 && \
 	rm -rf $$tmp
 
+# Sink smoke: run libra-sim, libra-bench, libra-lab and libra-train
+# small with every sink their shared cliutil.Rig registers; every trace
+# must validate with no truncated tail and every JSON snapshot parse.
+sink-smoke:
+	sh scripts/sinksmoke.sh
+
 # Robustness-lab smoke: tiny-budget search against one CCA, replay the
 # discovered spec (forensic dump attached), then a 2-CCA tournament —
 # all deterministic at fixed seeds.
@@ -108,7 +114,7 @@ lab:
 	$(GO) run ./cmd/libra-lab tournament -cca cubic,bbr -budget 14 -dur 3s -seed 7 && \
 	rm -rf $$tmp
 
-check: vet build race e2ebench-test fuzz bench-guard bench-core bench-nn bench-topo bench-sweep bench-lab analyze lab
+check: vet build race e2ebench-test fuzz bench-guard bench-core bench-nn bench-topo bench-sweep bench-lab analyze lab sink-smoke
 
 clean:
 	$(GO) clean ./...

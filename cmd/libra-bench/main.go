@@ -21,27 +21,21 @@ import (
 	"libra/internal/cliutil"
 	"libra/internal/exp"
 	"libra/internal/netem/faults"
-	"libra/internal/telemetry"
 )
 
 func main() {
 	var (
-		list       = flag.Bool("list", false, "list experiments and exit")
-		run        = flag.String("run", "", "comma-separated experiment IDs")
-		all        = flag.Bool("all", false, "run every experiment")
-		quick      = flag.Bool("quick", false, "reduced durations/repeats")
-		seed       = flag.Int64("seed", 1, "random seed")
-		models     = flag.String("models", "", "directory of trained models (from libra-train)")
-		faultSpec  = flag.String("fault", "", "apply a fault plan to every run: a preset name ("+strings.Join(faults.PresetNames(), "|")+") or a JSON plan file")
-		topoArg    = flag.String("topo", "", "run every experiment over a multi-hop topology: a preset name ("+strings.Join(exp.TopoPresetNames(), "|")+") or a JSON topology file")
-		traceOut   = flag.String("trace-out", "", "write a JSONL telemetry event stream of every run to this file")
-		metricsOut = flag.String("metrics-out", "", "write a metrics snapshot to this file after the runs")
-		metricsFmt = flag.String("metrics-format", "auto", "metrics snapshot format: auto|json|prom")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof and /metrics on this address")
-		httpAddr   = flag.String("http", "", "serve the live flow dashboard (plus pprof and /metrics) on this address")
-		parallel   = cliutil.ParallelFlag()
-		flightOut  = cliutil.FlightFlag()
-		tsOut      = cliutil.TimeSeriesFlag()
+		list      = flag.Bool("list", false, "list experiments and exit")
+		run       = flag.String("run", "", "comma-separated experiment IDs")
+		all       = flag.Bool("all", false, "run every experiment")
+		quick     = flag.Bool("quick", false, "reduced durations/repeats")
+		seed      = flag.Int64("seed", 1, "random seed")
+		models    = flag.String("models", "", "directory of trained models (from libra-train)")
+		faultSpec = flag.String("fault", "", "apply a fault plan to every run: a preset name ("+strings.Join(faults.PresetNames(), "|")+") or a JSON plan file")
+		topoArg   = flag.String("topo", "", "run every experiment over a multi-hop topology: a preset name ("+strings.Join(exp.TopoPresetNames(), "|")+") or a JSON topology file")
+		traceOut  = flag.String("trace-out", "", "write a JSONL telemetry event stream of every run to this file")
+		httpAddr  = flag.String("http", "", "serve the live flow dashboard (plus pprof and /metrics) on this address")
+		rig       = cliutil.NewRig(flag.CommandLine, "the runs")
 	)
 	flag.Parse()
 
@@ -51,18 +45,14 @@ func main() {
 		}
 		return
 	}
-
-	var ids []string
-	switch {
-	case *all:
-		for _, e := range exp.All() {
-			ids = append(ids, e.ID)
-		}
-	case *run != "":
-		ids = strings.Split(*run, ",")
-	default:
+	if !*all && *run == "" {
 		fmt.Fprintln(os.Stderr, "nothing to do: pass -list, -all, or -run ids")
 		os.Exit(2)
+	}
+	exps, err := resolve(*all, *run)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 
 	plan, err := faults.Load(*faultSpec)
@@ -75,60 +65,20 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-
-	tracer, closeTracer, err := cliutil.OpenTracer(*traceOut)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-
-	rc := exp.NewRunContext(*seed)
-	rc.Quick = *quick
-	rc.Workers = *parallel
-	rc.FaultPlan = plan
-	rc.Topo = topo
-	rc.Tracer = tracer
+	var agents *exp.AgentSet
 	if *models != "" {
-		set, err := exp.LoadAgentSet(*models, *seed)
-		if err != nil {
+		if agents, err = exp.LoadAgentSet(*models, *seed); err != nil {
 			fmt.Fprintf(os.Stderr, "load models: %v\n", err)
 			os.Exit(1)
 		}
-		rc.Agents = set
-	}
-	rc.WithDefaults()
-
-	flight, closeFlight, err := cliutil.OpenFlight(*flightOut, rc.Metrics)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	// Order matters: the flight recorder precedes the anomaly tap so a
-	// detector-triggered dump already holds the event that tripped it.
-	rc.Tracer = telemetry.Multi(rc.Tracer, cliutil.FlightTap(flight), cliutil.AnomalyTap(flight))
-	// The time-series collector taps the same stream whenever anything
-	// consumes it: a snapshot file, the debug server, or the dashboard.
-	var ts *telemetry.TSCollector
-	if *tsOut != "" || *pprofAddr != "" || *httpAddr != "" {
-		ts = telemetry.NewTSCollector(0, 0)
-		rc.Tracer = telemetry.Multi(rc.Tracer, ts)
-	}
-	health, stopHealth := cliutil.StartHealth(rc.Metrics)
-	rc.Health = health
-
-	cliutil.StartPprof(*pprofAddr, rc.Metrics, ts)
-	if live := cliutil.StartDashboard(*httpAddr, rc.Metrics, ts, topo); live != nil {
-		rc.Tracer = telemetry.Multi(rc.Tracer, live)
-		rc.Live = live
-		fmt.Printf("live dashboard: http://%s/\n", *httpAddr)
 	}
 
-	for _, id := range ids {
-		e, ok := exp.Get(strings.TrimSpace(id))
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", id)
-			os.Exit(1)
-		}
+	rc := rig.Open(*seed, *traceOut, *httpAddr, topo)
+	rc.Quick = *quick
+	rc.FaultPlan = plan
+	rc.Topo = topo
+	rc.Agents = agents
+	for _, e := range exps {
 		start := time.Now()
 		// Experiment boundaries land in the stream as global markers so
 		// `libra-trace spans` can label which runs belong to which figure.
@@ -138,25 +88,24 @@ func main() {
 		fmt.Print(rep.String())
 		fmt.Printf("(%s completed in %.1fs)\n\n", e.ID, time.Since(start).Seconds())
 	}
+	if err := rig.Close(); err != nil {
+		rig.Fatal(err)
+	}
+}
 
-	if err := closeTracer(); err != nil {
-		fmt.Fprintf(os.Stderr, "trace-out: %v\n", err)
-		os.Exit(1)
+// resolve returns the experiments -all or -run names, in run order. It
+// runs before any sink opens, so an unknown ID costs nothing.
+func resolve(all bool, run string) ([]exp.Experiment, error) {
+	if all {
+		return exp.All(), nil
 	}
-	if err := closeFlight(); err != nil {
-		fmt.Fprintf(os.Stderr, "flight-out: %v\n", err)
-		os.Exit(1)
+	var exps []exp.Experiment
+	for _, id := range strings.Split(run, ",") {
+		e, ok := exp.Get(strings.TrimSpace(id))
+		if !ok {
+			return nil, fmt.Errorf("unknown experiment %q (use -list)", id)
+		}
+		exps = append(exps, e)
 	}
-	stopHealth()
-	if ts != nil {
-		ts.ExportProm(rc.Metrics)
-	}
-	if err := cliutil.WriteTimeSeries(ts, *tsOut); err != nil {
-		fmt.Fprintf(os.Stderr, "timeseries-out: %v\n", err)
-		os.Exit(1)
-	}
-	if err := cliutil.WriteMetrics(rc.Metrics, *metricsOut, *metricsFmt); err != nil {
-		fmt.Fprintf(os.Stderr, "metrics-out: %v\n", err)
-		os.Exit(1)
-	}
+	return exps, nil
 }

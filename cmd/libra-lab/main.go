@@ -27,7 +27,6 @@ import (
 	"libra/internal/cliutil"
 	"libra/internal/exp"
 	"libra/internal/lab"
-	"libra/internal/telemetry"
 	"libra/internal/utility"
 )
 
@@ -62,82 +61,6 @@ shared flags: -parallel N, -trace-out f.jsonl, -metrics-out f, -metrics-format a
               -flight-out dir, -pprof addr, -timeseries-out f.json`)
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
-}
-
-// obsFlags registers the observability flags shared by every
-// subcommand and wires them into a RunContext, mirroring libra-sim.
-type obsFlags struct {
-	parallel   *int
-	traceOut   *string
-	metricsOut *string
-	metricsFmt *string
-	flightOut  *string
-	pprofAddr  *string
-	tsOut      *string
-}
-
-func addObs(fs *flag.FlagSet) *obsFlags {
-	return &obsFlags{
-		parallel:   fs.Int("parallel", 0, "sweep worker count (0 = GOMAXPROCS)"),
-		traceOut:   fs.String("trace-out", "", "write a JSONL telemetry event stream to this file"),
-		metricsOut: fs.String("metrics-out", "", "write a metrics snapshot to this file after the run"),
-		metricsFmt: fs.String("metrics-format", "auto", "metrics snapshot format: auto|json|prom"),
-		flightOut:  fs.String("flight-out", "", "directory for flight-recorder dumps on detected anomalies (empty = off)"),
-		pprofAddr:  fs.String("pprof", "", "serve net/http/pprof and /metrics on this address"),
-		tsOut:      fs.String("timeseries-out", "", "write the downsampled time-series snapshot (JSON) to this file after the run"),
-	}
-}
-
-// rig builds the run context: tracer + flight recorder + anomaly tap
-// (in that order, so dumps hold their triggering event) + health
-// sampler. The returned teardown flushes everything; call it once at
-// the end of the subcommand.
-func (o *obsFlags) rig(seed int64) (*exp.RunContext, func()) {
-	tracer, closeTracer, err := cliutil.OpenTracer(*o.traceOut)
-	if err != nil {
-		fatal(err)
-	}
-	rc := exp.NewRunContext(seed)
-	rc.Workers = *o.parallel
-	rc.WithDefaults()
-	flight, closeFlight, err := cliutil.OpenFlight(*o.flightOut, rc.Metrics)
-	if err != nil {
-		fatal(err)
-	}
-	rc.Tracer = telemetry.Multi(tracer, cliutil.FlightTap(flight), cliutil.AnomalyTap(flight))
-	// The time-series collector taps the same stream whenever anything
-	// consumes it: a snapshot file or the debug server.
-	var ts *telemetry.TSCollector
-	if *o.tsOut != "" || *o.pprofAddr != "" {
-		ts = telemetry.NewTSCollector(0, 0)
-		rc.Tracer = telemetry.Multi(rc.Tracer, ts)
-	}
-	health, stopHealth := cliutil.StartHealth(rc.Metrics)
-	rc.Health = health
-	cliutil.StartPprof(*o.pprofAddr, rc.Metrics, ts)
-	return rc, func() {
-		if err := closeTracer(); err != nil {
-			fatal(fmt.Errorf("trace-out: %w", err))
-		}
-		if err := closeFlight(); err != nil {
-			fatal(fmt.Errorf("flight-out: %w", err))
-		}
-		stopHealth()
-		if ts != nil {
-			ts.ExportProm(rc.Metrics)
-		}
-		if err := cliutil.WriteTimeSeries(ts, *o.tsOut); err != nil {
-			fatal(fmt.Errorf("timeseries-out: %w", err))
-		}
-		if err := cliutil.WriteMetrics(rc.Metrics, *o.metricsOut, *o.metricsFmt); err != nil {
-			fatal(fmt.Errorf("metrics-out: %w", err))
-		}
-	}
-}
-
 func runSearch(args []string) {
 	fs := flag.NewFlagSet("search", flag.ExitOnError)
 	cca := fs.String("cca", "", "target controller to break (required)")
@@ -146,19 +69,20 @@ func runSearch(args []string) {
 	dur := fs.Duration("dur", 4*time.Second, "simulated length of each evaluation")
 	out := fs.String("o", "", "write the discovered worst case as a replayable spec file")
 	jsonOut := fs.Bool("json", false, "emit the full machine-readable search result")
-	obs := addObs(fs)
+	traceOut := fs.String("trace-out", "", "write a JSONL telemetry event stream to this file")
+	rig := cliutil.NewRig(fs, "the run")
 	fs.Parse(args)
 	if *cca == "" {
 		fs.Usage()
-		fatal(fmt.Errorf("search: -cca is required (one of %s)", strings.Join(exp.KnownCCAs(), ", ")))
+		rig.Fatal(fmt.Errorf("search: -cca is required (one of %s)", strings.Join(exp.KnownCCAs(), ", ")))
 	}
 
-	rc, teardown := obs.rig(*seed)
+	rc := rig.Open(*seed, *traceOut, "", nil)
 	sr, err := lab.Search(rc, lab.SearchConfig{
 		Target: *cca, Seed: *seed, Budget: *budget, DurS: dur.Seconds(),
 	})
 	if err != nil {
-		fatal(err)
+		rig.Fatal(err)
 	}
 	// Replay the discovery at top level with the lab_worst_case marker:
 	// with -flight-out set this cuts the forensic dump for the find.
@@ -166,13 +90,13 @@ func runSearch(args []string) {
 
 	if *out != "" {
 		if err := sr.Best.Spec.WriteFile(*out); err != nil {
-			fatal(err)
+			rig.Fatal(err)
 		}
 		fmt.Printf("worst case written to %s\n", *out)
 	}
 	if *jsonOut {
 		if err := writeJSON(os.Stdout, sr); err != nil {
-			fatal(err)
+			rig.Fatal(err)
 		}
 	} else {
 		worst := sr.Presets[0]
@@ -189,7 +113,9 @@ func runSearch(args []string) {
 		fmt.Printf("worst case: cap %.1f Mbps (dip %.2f every %.1fs), rtt %.0f ms, cross %d, %d anomalies\n",
 			sp.CapMbps, sp.DipFrac, sp.PeriodS, sp.RTTMs, sp.Cross, sr.Best.Anomalies)
 	}
-	teardown()
+	if err := rig.Close(); err != nil {
+		rig.Fatal(err)
+	}
 }
 
 func runReplay(args []string) {
@@ -197,28 +123,29 @@ func runReplay(args []string) {
 	specPath := fs.String("spec", "", "worst-case spec file to replay (required)")
 	cca := fs.String("cca", "", "override the spec's target controller")
 	jsonOut := fs.Bool("json", false, "emit the machine-readable outcome")
-	obs := addObs(fs)
+	traceOut := fs.String("trace-out", "", "write a JSONL telemetry event stream to this file")
+	rig := cliutil.NewRig(fs, "the run")
 	fs.Parse(args)
 	if *specPath == "" {
 		fs.Usage()
-		fatal(fmt.Errorf("replay: -spec is required"))
+		rig.Fatal(fmt.Errorf("replay: -spec is required"))
 	}
 	sp, err := lab.ReadSpecFile(*specPath)
 	if err != nil {
-		fatal(err)
+		rig.Fatal(err)
 	}
 	if *cca != "" {
 		sp.Target = *cca
 		if err := sp.Validate(); err != nil {
-			fatal(err)
+			rig.Fatal(err)
 		}
 	}
 
-	rc, teardown := obs.rig(sp.Seed)
+	rc := rig.Open(sp.Seed, *traceOut, "", nil)
 	out := lab.Replay(rc, sp, utility.Default(), true)
 	if *jsonOut {
 		if err := writeJSON(os.Stdout, out); err != nil {
-			fatal(err)
+			rig.Fatal(err)
 		}
 	} else {
 		status := "ok"
@@ -230,7 +157,9 @@ func runReplay(args []string) {
 		fmt.Printf("thr %.2f Mbps, delay %.1f ms, loss %.3f%%, %d anomalies\n",
 			out.ThrMbps, out.DelayMs, out.LossRate*100, out.Anomalies)
 	}
-	teardown()
+	if err := rig.Close(); err != nil {
+		rig.Fatal(err)
+	}
 }
 
 func runTournament(args []string) {
@@ -242,7 +171,8 @@ func runTournament(args []string) {
 	jsonOut := fs.Bool("json", false, "emit the machine-readable leaderboard (includes worst-case specs)")
 	out := fs.String("o", "", "also write the JSON leaderboard to this file")
 	specsDir := fs.String("specs-dir", "", "write each contestant's worst-case spec into this directory")
-	obs := addObs(fs)
+	traceOut := fs.String("trace-out", "", "write a JSONL telemetry event stream to this file")
+	rig := cliutil.NewRig(fs, "the run")
 	fs.Parse(args)
 
 	var contestants []string
@@ -256,22 +186,22 @@ func runTournament(args []string) {
 		}
 	}
 
-	rc, teardown := obs.rig(*seed)
+	rc := rig.Open(*seed, *traceOut, "", nil)
 	lb, err := lab.Tournament(rc, lab.TournamentConfig{
 		CCAs: contestants, Seed: *seed, Budget: *budget, DurS: dur.Seconds(),
 	})
 	if err != nil {
-		fatal(err)
+		rig.Fatal(err)
 	}
 
 	if *specsDir != "" {
 		if err := os.MkdirAll(*specsDir, 0o755); err != nil {
-			fatal(err)
+			rig.Fatal(err)
 		}
 		for _, w := range lb.Worsts {
 			name := strings.TrimPrefix(w.Label, "worst:")
 			if err := w.WriteFile(filepath.Join(*specsDir, "worst-"+name+".json")); err != nil {
-				fatal(err)
+				rig.Fatal(err)
 			}
 		}
 		fmt.Printf("%d worst-case specs written to %s\n", len(lb.Worsts), *specsDir)
@@ -279,13 +209,13 @@ func runTournament(args []string) {
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fatal(err)
+			rig.Fatal(err)
 		}
 		if err := lb.WriteJSON(f); err != nil {
-			fatal(err)
+			rig.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
-			fatal(err)
+			rig.Fatal(err)
 		}
 	}
 	if *jsonOut {
@@ -294,9 +224,11 @@ func runTournament(args []string) {
 		err = lb.WriteText(os.Stdout)
 	}
 	if err != nil {
-		fatal(err)
+		rig.Fatal(err)
 	}
-	teardown()
+	if err := rig.Close(); err != nil {
+		rig.Fatal(err)
+	}
 }
 
 func writeJSON(w *os.File, v any) error {

@@ -22,32 +22,26 @@ import (
 	"libra/internal/exp"
 	"libra/internal/netem"
 	"libra/internal/netem/faults"
-	"libra/internal/telemetry"
 	"libra/internal/trace"
 )
 
 func main() {
 	var (
-		ccas       = flag.String("cca", "c-libra", "comma-separated controllers sharing the bottleneck")
-		capMbps    = flag.Float64("capacity", 48, "link capacity in Mbps (ignored with -trace)")
-		traceSpec  = flag.String("trace", "", "capacity trace: lte:stationary|walking|driving|tour, or step:P,L1,L2,...")
-		rtt        = flag.Duration("rtt", 40*time.Millisecond, "minimum RTT")
-		buffer     = flag.Int("buffer", 150000, "droptail buffer in bytes")
-		loss       = flag.Float64("loss", 0, "iid stochastic loss probability")
-		dur        = flag.Duration("dur", 30*time.Second, "simulated duration")
-		seed       = flag.Int64("seed", 1, "random seed")
-		reps       = flag.Int("reps", 1, "repeat the run this many times with derived seeds")
-		faultSpec  = flag.String("fault", "", "fault plan: a preset name ("+strings.Join(faults.PresetNames(), "|")+") or a JSON plan file")
-		topoArg    = flag.String("topo", "", "multi-hop topology: a preset name ("+strings.Join(exp.TopoPresetNames(), "|")+") or a JSON topology file; overrides -capacity/-trace/-rtt/-buffer/-loss")
-		profSpec   = flag.String("profiles", "", "comma-separated utility profiles ("+strings.Join(exp.ProfileNames(), "|")+"); one flow per profile, overrides -cca")
-		traceOut   = flag.String("trace-out", "", "write a JSONL telemetry event stream to this file")
-		metricsOut = flag.String("metrics-out", "", "write a metrics snapshot to this file after the run")
-		metricsFmt = flag.String("metrics-format", "auto", "metrics snapshot format: auto|json|prom")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof and /metrics on this address")
-		httpAddr   = flag.String("http", "", "serve the live flow dashboard (plus pprof and /metrics) on this address")
-		parallel   = cliutil.ParallelFlag()
-		flightOut  = cliutil.FlightFlag()
-		tsOut      = cliutil.TimeSeriesFlag()
+		ccas      = flag.String("cca", "c-libra", "comma-separated controllers sharing the bottleneck")
+		capMbps   = flag.Float64("capacity", 48, "link capacity in Mbps (ignored with -trace)")
+		traceSpec = flag.String("trace", "", "capacity trace: lte:stationary|walking|driving|tour, or step:P,L1,L2,...")
+		rtt       = flag.Duration("rtt", 40*time.Millisecond, "minimum RTT")
+		buffer    = flag.Int("buffer", 150000, "droptail buffer in bytes")
+		loss      = flag.Float64("loss", 0, "iid stochastic loss probability")
+		dur       = flag.Duration("dur", 30*time.Second, "simulated duration")
+		seed      = flag.Int64("seed", 1, "random seed")
+		reps      = flag.Int("reps", 1, "repeat the run this many times with derived seeds")
+		faultSpec = flag.String("fault", "", "fault plan: a preset name ("+strings.Join(faults.PresetNames(), "|")+") or a JSON plan file")
+		topoArg   = flag.String("topo", "", "multi-hop topology: a preset name ("+strings.Join(exp.TopoPresetNames(), "|")+") or a JSON topology file; overrides -capacity/-trace/-rtt/-buffer/-loss")
+		profSpec  = flag.String("profiles", "", "comma-separated utility profiles ("+strings.Join(exp.ProfileNames(), "|")+"); one flow per profile, overrides -cca")
+		traceOut  = flag.String("trace-out", "", "write a JSONL telemetry event stream to this file")
+		httpAddr  = flag.String("http", "", "serve the live flow dashboard (plus pprof and /metrics) on this address")
+		rig       = cliutil.NewRig(flag.CommandLine, "the run")
 	)
 	flag.Parse()
 
@@ -61,37 +55,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-
-	tracer, closeTracer, err := cliutil.OpenTracer(*traceOut)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	rc := exp.NewRunContext(*seed)
-	rc.Workers = *parallel
-	rc.WithDefaults()
-	flight, closeFlight, err := cliutil.OpenFlight(*flightOut, rc.Metrics)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	// Order matters: the flight recorder precedes the anomaly tap so a
-	// detector-triggered dump already holds the event that tripped it.
-	rc.Tracer = telemetry.Multi(tracer, cliutil.FlightTap(flight), cliutil.AnomalyTap(flight))
-	// The time-series collector taps the same stream whenever anything
-	// consumes it: a snapshot file, the debug server, or the dashboard.
-	var ts *telemetry.TSCollector
-	if *tsOut != "" || *pprofAddr != "" || *httpAddr != "" {
-		ts = telemetry.NewTSCollector(0, 0)
-		rc.Tracer = telemetry.Multi(rc.Tracer, ts)
-	}
-	health, stopHealth := cliutil.StartHealth(rc.Metrics)
-	rc.Health = health
-	cliutil.StartPprof(*pprofAddr, rc.Metrics, ts)
-	if live := cliutil.StartDashboard(*httpAddr, rc.Metrics, ts, topo); live != nil {
-		rc.Tracer = telemetry.Multi(rc.Tracer, live)
-		rc.Live = live
-		fmt.Printf("live dashboard: http://%s/\n", *httpAddr)
+	// Parse -trace up front so a bad spec fails before any sink opens.
+	if topo == nil {
+		if _, err := buildTrace(*traceSpec, *capMbps, *dur, *seed); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
 	}
 
 	profs, err := exp.ParseProfiles(*profSpec)
@@ -127,6 +96,7 @@ func main() {
 		}
 	}
 
+	rc := rig.Open(*seed, *traceOut, *httpAddr, topo)
 	// One rep = one emulated run through the experiment runner; its
 	// capacity trace, fault schedule and controllers all derive from the
 	// rep's seed so a -reps sweep explores genuinely different channels.
@@ -140,6 +110,7 @@ func main() {
 		flows []flowSummary
 		util  float64
 		topo  *netem.Topology
+		err   error
 	}
 	runOnce := func(jc *exp.RunContext, verbose bool) repResult {
 		s := exp.Scenario{Duration: *dur, Faults: plan, Topo: topo, Profiles: profNames}
@@ -151,8 +122,7 @@ func main() {
 		} else {
 			capacity, err := buildTrace(*traceSpec, *capMbps, *dur, jc.Seed)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
+				return repResult{err: err}
 			}
 			s.Name = *traceSpec
 			if s.Name == "" {
@@ -164,8 +134,7 @@ func main() {
 		res := repResult{util: ms[0].Util, topo: ms[0].Topo}
 		for _, m := range ms {
 			if m.Failed {
-				fmt.Fprintln(os.Stderr, m.Err)
-				os.Exit(1)
+				return repResult{err: m.Err}
 			}
 			res.flows = append(res.flows, flowSummary{
 				thrMbps: m.ThrMbps, lossRate: m.LossRate, rtt: m.Flow.Stats.AvgRTT(),
@@ -195,8 +164,23 @@ func main() {
 		return res
 	}
 
+	// A failed rep exits through the rig, after the sweep, so the
+	// anomaly marker and the trace tail still reach the sinks.
+	var results []repResult
 	if *reps <= 1 {
-		res := runOnce(rc, true)
+		results = []repResult{runOnce(rc, true)}
+	} else {
+		results = exp.Sweep(rc, *reps, func(jc *exp.RunContext, _ int) repResult {
+			return runOnce(jc, false)
+		})
+	}
+	for _, res := range results {
+		if res.err != nil {
+			rig.Fatal(res.err)
+		}
+	}
+	if *reps <= 1 {
+		res := results[0]
 		for i, fs := range res.flows {
 			fmt.Printf("%-10s avg %.2f Mbps, avg RTT %v, loss %.3f%%\n",
 				names[i], fs.thrMbps, fs.rtt.Round(time.Millisecond), fs.lossRate*100)
@@ -215,9 +199,6 @@ func main() {
 				ds.Tail, ds.Channel, ds.AQM, ds.Blackout, ds.Burst, ds.Bytes)
 		}
 	} else {
-		results := exp.Sweep(rc, *reps, func(jc *exp.RunContext, _ int) repResult {
-			return runOnce(jc, false)
-		})
 		fmt.Printf("%-6s %-9s", "rep", "util")
 		for _, name := range names {
 			fmt.Printf("  %-22s", name+" thr/rtt/loss")
@@ -231,26 +212,8 @@ func main() {
 			fmt.Println()
 		}
 	}
-
-	if err := closeTracer(); err != nil {
-		fmt.Fprintf(os.Stderr, "trace-out: %v\n", err)
-		os.Exit(1)
-	}
-	if err := closeFlight(); err != nil {
-		fmt.Fprintf(os.Stderr, "flight-out: %v\n", err)
-		os.Exit(1)
-	}
-	stopHealth()
-	if ts != nil {
-		ts.ExportProm(rc.Metrics)
-	}
-	if err := cliutil.WriteTimeSeries(ts, *tsOut); err != nil {
-		fmt.Fprintf(os.Stderr, "timeseries-out: %v\n", err)
-		os.Exit(1)
-	}
-	if err := cliutil.WriteMetrics(rc.Metrics, *metricsOut, *metricsFmt); err != nil {
-		fmt.Fprintf(os.Stderr, "metrics-out: %v\n", err)
-		os.Exit(1)
+	if err := rig.Close(); err != nil {
+		rig.Fatal(err)
 	}
 }
 

@@ -57,7 +57,7 @@ func main() {
 		out      = flag.String("o", "", "output file (Mahimahi format; default stdout)")
 		inspect  = flag.String("inspect", "", "parse Mahimahi traces (comma-separated) and print statistics")
 		validate = flag.String("validate", "", "validate JSONL event streams (comma-separated) against the telemetry schema")
-		parallel = cliutil.ParallelFlag()
+		parallel = flag.Int("parallel", 0, "sweep worker count (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 
@@ -354,11 +354,10 @@ func runAnalyze(args []string) {
 // a live run's -flight-out. Sequential replay keeps the dump files
 // deterministic regardless of the analyze -parallel setting.
 func replayFlight(paths []string, dir string) error {
-	fl, closeFlight, err := cliutil.OpenFlight(dir, nil)
+	tap, closeFlight, err := cliutil.OpenFlight(dir, nil)
 	if err != nil {
 		return err
 	}
-	tap := telemetry.Multi(cliutil.FlightTap(fl), cliutil.AnomalyTap(fl))
 	for _, path := range paths {
 		f, err := os.Open(path)
 		if err != nil {

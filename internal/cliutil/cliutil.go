@@ -1,107 +1,22 @@
 // Package cliutil holds the observability plumbing shared by the
-// cmd/ binaries: JSONL trace sinks, metrics-snapshot export, and the
-// pprof + /metrics debug server.
+// cmd/ binaries: the Rig that opens and flushes their sinks (JSONL
+// trace, flight recorder, time series, metrics snapshot), and the
+// pprof + /metrics debug server with the live dashboard.
 package cliutil
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"sort"
 	"strings"
-	"time"
 
 	"libra/internal/analyze"
 	"libra/internal/exp"
 	"libra/internal/telemetry"
 )
-
-// OpenTracer opens a JSONL event sink at path. It returns a nil tracer
-// (and a no-op closer) when path is empty, so callers can pass the
-// result straight into configs. The closer flushes the tail and prints
-// the event count.
-func OpenTracer(path string) (telemetry.Tracer, func() error, error) {
-	if path == "" {
-		return nil, func() error { return nil }, nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	rec := telemetry.NewRecorder(f)
-	return rec, func() error {
-		if err := rec.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %d events to %s\n", rec.Events(), path)
-		return nil
-	}, nil
-}
-
-// OpenFlight builds an always-on flight recorder dumping anomaly
-// snapshots into dir (created if missing); counters register into reg
-// when non-nil. Empty dir returns a nil recorder and a no-op closer,
-// so callers can wire the result unconditionally. The closer reports
-// how many dumps were written.
-func OpenFlight(dir string, reg *telemetry.Registry) (*telemetry.FlightRecorder, func() error, error) {
-	if dir == "" {
-		return nil, func() error { return nil }, nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, err
-	}
-	fl := telemetry.NewFlightRecorder(telemetry.FlightConfig{Dir: dir, Metrics: reg})
-	return fl, func() error {
-		if n := fl.Dumps(); n > 0 {
-			fmt.Printf("flight recorder: %d dump(s) in %s\n", n, dir)
-		}
-		return fl.Err()
-	}, nil
-}
-
-// FlightTap converts a possibly-nil flight recorder into a value safe
-// to hand telemetry.Multi (a typed-nil would defeat its nil check).
-func FlightTap(fl *telemetry.FlightRecorder) telemetry.Tracer {
-	if fl == nil {
-		return nil
-	}
-	return fl
-}
-
-// AnomalyTap returns a live analyzer tap that exists only to run the
-// streaming anomaly detectors (rate collapse, no-ACK streaks, utility
-// regression) and trigger flight dumps when one fires; nil when fl is
-// nil. Compose it AFTER the flight recorder in telemetry.Multi so the
-// triggering event is already in the ring when the dump is cut. The
-// detectors are purely event-driven, so dump triggers inherit the
-// event stream's worker-count independence.
-func AnomalyTap(fl *telemetry.FlightRecorder) telemetry.Tracer {
-	if fl == nil {
-		return nil
-	}
-	return analyze.New(analyze.Config{
-		OnAnomaly: func(flow int, t int64, reason string) {
-			fl.TriggerDump(flow, t, reason)
-		},
-	})
-}
-
-// FlightFlag registers the shared -flight-out flag.
-func FlightFlag() *string {
-	return flag.String("flight-out", "",
-		"directory for flight-recorder dumps on detected anomalies (empty = off)")
-}
-
-// StartHealth attaches a runtime health sampler to reg and samples
-// once a second until the returned stop function runs (which takes a
-// final sample). The sampler is returned for RunContext.Health wiring.
-func StartHealth(reg *telemetry.Registry) (*telemetry.Health, func()) {
-	h := telemetry.NewHealth(reg)
-	return h, h.Start(time.Second)
-}
 
 // healthHandler serves the libra_health_* gauges as a flat JSON object
 // for the dashboard's health line.
@@ -120,32 +35,6 @@ func healthHandler(reg *telemetry.Registry) http.Handler {
 	})
 }
 
-// WriteMetrics exports a registry snapshot to path. Format "auto"
-// derives from the extension: .json → JSON, anything else → Prometheus
-// text exposition. Empty path is a no-op.
-func WriteMetrics(reg *telemetry.Registry, path, format string) error {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	switch format {
-	case "json":
-		return reg.WriteJSON(f)
-	case "prom":
-		return reg.WritePrometheus(f)
-	case "auto":
-		if strings.HasSuffix(path, ".json") {
-			return reg.WriteJSON(f)
-		}
-		return reg.WritePrometheus(f)
-	}
-	return fmt.Errorf("unknown metrics format %q (want auto, json or prom)", format)
-}
-
 // getOnly rejects everything but GET/HEAD with 405 so the read-only
 // JSON endpoints can't be POSTed to by accident.
 func getOnly(h http.Handler) http.Handler {
@@ -159,7 +48,7 @@ func getOnly(h http.Handler) http.Handler {
 	})
 }
 
-// DebugMux returns a dedicated mux wired with the pprof handlers and,
+// debugMux returns a dedicated mux wired with the pprof handlers and,
 // when reg is non-nil, the registry at /metrics. A non-nil ts adds
 // /timeseries (the full downsampled-series snapshot as JSON) and
 // refreshes the libra_ts_* gauges into reg on every /metrics scrape,
@@ -168,8 +57,8 @@ func getOnly(h http.Handler) http.Handler {
 // package never leaks debug handlers into an application's default
 // mux (and nothing another package hangs on the default mux leaks
 // into the debug server). Callers may add their own routes — the live
-// flow dashboard does — before passing the mux to Serve.
-func DebugMux(reg *telemetry.Registry, ts *telemetry.TSCollector) *http.ServeMux {
+// flow dashboard does — before passing the mux to serve.
+func debugMux(reg *telemetry.Registry, ts *telemetry.TSCollector) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -215,10 +104,10 @@ type TopoView struct {
 	Links []TopoLinkView `json:"links"`
 }
 
-// BuildTopoView joins a topology spec with the collector's live link
+// buildTopoView joins a topology spec with the collector's live link
 // stats. A nil topo synthesises the two-node single-bottleneck shape
 // so runs without -topo still get a (one-link) weathermap.
-func BuildTopoView(ts *telemetry.TSCollector, topo *exp.TopoSpec) TopoView {
+func buildTopoView(ts *telemetry.TSCollector, topo *exp.TopoSpec) TopoView {
 	live := map[string]telemetry.LinkLive{}
 	for _, ll := range ts.LinksLive() {
 		live[ll.Label] = ll
@@ -256,13 +145,13 @@ func topoHandler(ts *telemetry.TSCollector, topo *exp.TopoSpec) http.Handler {
 		w.Header().Set("Cache-Control", "no-store")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		_ = enc.Encode(BuildTopoView(ts, topo))
+		_ = enc.Encode(buildTopoView(ts, topo))
 	})
 }
 
-// Serve serves mux on addr in the background for the life of the
+// serve serves mux on addr in the background for the life of the
 // process. Empty addr is a no-op.
-func Serve(addr string, mux *http.ServeMux) {
+func serve(addr string, mux *http.ServeMux) {
 	if addr == "" {
 		return
 	}
@@ -273,14 +162,7 @@ func Serve(addr string, mux *http.ServeMux) {
 	}()
 }
 
-// StartPprof serves net/http/pprof plus reg at /metrics (and, with a
-// collector, /timeseries) on addr in the background. Empty addr is a
-// no-op.
-func StartPprof(addr string, reg *telemetry.Registry, ts *telemetry.TSCollector) {
-	Serve(addr, DebugMux(reg, ts))
-}
-
-// StartDashboard serves the live flow dashboard — /flows JSON
+// startDashboard serves the live flow dashboard — /flows JSON
 // snapshots and a polling HTML view at / — plus pprof and /metrics on
 // addr, and returns the analyzer the caller must tap into the run's
 // event stream (telemetry.Multi with any file recorder) and register
@@ -288,43 +170,16 @@ func StartPprof(addr string, reg *telemetry.Registry, ts *telemetry.TSCollector)
 // /timeseries and /topo, and the HTML view renders the topology
 // weathermap from the latter (topo may be nil: single-bottleneck runs
 // get a synthetic two-node view). Nil when addr is empty.
-func StartDashboard(addr string, reg *telemetry.Registry, ts *telemetry.TSCollector, topo *exp.TopoSpec) *analyze.Analyzer {
+func startDashboard(addr string, reg *telemetry.Registry, ts *telemetry.TSCollector, topo *exp.TopoSpec) *analyze.Analyzer {
 	if addr == "" {
 		return nil
 	}
 	a := analyze.New(analyze.Config{})
-	mux := DebugMux(reg, ts)
+	mux := debugMux(reg, ts)
 	analyze.ServeLive(mux, a)
 	if ts != nil {
 		mux.Handle("/topo", getOnly(topoHandler(ts, topo)))
 	}
-	Serve(addr, mux)
+	serve(addr, mux)
 	return a
-}
-
-// TimeSeriesFlag registers the shared -timeseries-out flag.
-func TimeSeriesFlag() *string {
-	return flag.String("timeseries-out", "",
-		"write the downsampled time-series snapshot (JSON) to this file after the run")
-}
-
-// WriteTimeSeries writes ts's snapshot JSON to path. Either a nil
-// collector or an empty path is a no-op, so callers can wire it
-// unconditionally.
-func WriteTimeSeries(ts *telemetry.TSCollector, path string) error {
-	if ts == nil || path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return ts.WriteJSON(f)
-}
-
-// ParallelFlag registers the shared -parallel flag: the worker count
-// for sweep-based execution. 0 (the default) means GOMAXPROCS.
-func ParallelFlag() *int {
-	return flag.Int("parallel", 0, "sweep worker count (0 = GOMAXPROCS)")
 }

@@ -14,7 +14,7 @@ import (
 func TestDebugMuxRoutes(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.Counter("c_total", "a counter").Add(3)
-	mux := DebugMux(reg, nil)
+	mux := debugMux(reg, nil)
 
 	get := func(path string) *httptest.ResponseRecorder {
 		t.Helper()
@@ -45,9 +45,9 @@ func TestDebugMuxRoutes(t *testing.T) {
 	}
 }
 
-// DebugMux without a registry still serves pprof but not /metrics.
+// debugMux without a registry still serves pprof but not /metrics.
 func TestDebugMuxNoRegistry(t *testing.T) {
-	mux := DebugMux(nil, nil)
+	mux := debugMux(nil, nil)
 	w := httptest.NewRecorder()
 	mux.ServeHTTP(w, httptest.NewRequest("GET", "/metrics", nil))
 	if w.Code == http.StatusOK {

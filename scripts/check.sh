@@ -60,6 +60,10 @@ go run ./cmd/libra-sim -cca c-libra,c-libra -capacity 24 -dur 5s -seed 7 -trace-
 go run ./cmd/libra-trace -validate "$tmp/events.jsonl"
 go run ./cmd/libra-trace analyze -json "$tmp/events.jsonl" | go run ./scripts/analyzecheck -flows 2
 rm -rf "$tmp"
+# Sink smoke: each cliutil.Rig CLI (sim, bench, lab, train) run small
+# with every sink on; traces must validate with no truncated tail and
+# the JSON snapshots must parse.
+sh scripts/sinksmoke.sh
 # Robustness-lab smoke (tiny budgets, 2 CCAs): adversarial search, a
 # replay of the discovered spec with a forensic flight dump, and a
 # deterministic tournament leaderboard. Then record the lab's
