@@ -1,8 +1,12 @@
 GO ?= go
 
-.PHONY: all build vet test race e2ebench-test fuzz bench-guard bench-core bench-nn bench-topo bench-sweep bench-lab analyze lab sink-smoke check clean
+.PHONY: all fmt build vet test race e2ebench-test fuzz bench-guard bench-core bench-nn bench-topo bench-sweep bench-lab analyze lab sink-smoke check clean
 
 all: check
+
+# Formatting gate: fails listing every Go file gofmt would change.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -58,8 +62,7 @@ bench-nn:
 
 # Multi-hop hot path: records hop traversals/sec and allocs/packet over
 # a 3-hop chain as the "topo" block of BENCH_core.json; the guard
-# enforces <1 alloc/packet and a conservative throughput floor. Runs
-# after bench-core, which rewrites the file without the extra blocks.
+# enforces <1 alloc/packet and a conservative throughput floor.
 bench-topo:
 	TOPO_BENCH=1 TOPO_BENCH_GUARD=1 $(GO) test ./internal/netem/ -run TestBenchTopo -count=1 -v
 
@@ -114,7 +117,7 @@ lab:
 	$(GO) run ./cmd/libra-lab tournament -cca cubic,bbr -budget 14 -dur 3s -seed 7 && \
 	rm -rf $$tmp
 
-check: vet build race e2ebench-test fuzz bench-guard bench-core bench-nn bench-topo bench-sweep bench-lab analyze lab sink-smoke
+check: fmt vet build race e2ebench-test fuzz bench-guard bench-core bench-nn bench-topo bench-sweep bench-lab analyze lab sink-smoke
 
 clean:
 	$(GO) clean ./...

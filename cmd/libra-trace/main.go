@@ -196,23 +196,9 @@ func runSpans(args []string) {
 
 	b := spans.NewBuilder()
 	for _, path := range paths {
-		f, err := os.Open(path)
-		if err != nil {
+		if err := telemetry.ReplayFile(path, b.Add); err != nil {
 			fatal(err)
 		}
-		dec := telemetry.NewDecoder(f)
-		for {
-			e, err := dec.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				f.Close()
-				fatal(fmt.Errorf("%s: %w", path, err))
-			}
-			b.Add(&e)
-		}
-		f.Close()
 	}
 	b.Finish()
 
@@ -262,22 +248,9 @@ func runTimeline(args []string) {
 		err error
 	}
 	results := sweep.Map(sweep.Workers(*parallel), len(paths), func(i int) result {
-		f, err := os.Open(paths[i])
-		if err != nil {
-			return result{err: err}
-		}
-		defer f.Close()
 		ts := telemetry.NewTSCollector(*bucket, *capacity)
-		dec := telemetry.NewDecoder(f)
-		for {
-			e, err := dec.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return result{err: fmt.Errorf("%s: %w", paths[i], err)}
-			}
-			ts.Emit(&e)
+		if err := telemetry.ReplayFile(paths[i], ts.Emit); err != nil {
+			return result{err: err}
 		}
 		return result{ts: ts}
 	})
@@ -359,23 +332,9 @@ func replayFlight(paths []string, dir string) error {
 		return err
 	}
 	for _, path := range paths {
-		f, err := os.Open(path)
-		if err != nil {
+		if err := telemetry.ReplayFile(path, tap.Emit); err != nil {
 			return err
 		}
-		dec := telemetry.NewDecoder(f)
-		for {
-			e, err := dec.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				f.Close()
-				return fmt.Errorf("%s: %w", path, err)
-			}
-			tap.Emit(&e)
-		}
-		f.Close()
 	}
 	return closeFlight()
 }
@@ -388,14 +347,9 @@ func analyzeFiles(paths []string, cfg analyze.Config, workers int) (*analyze.Rep
 		err error
 	}
 	results := sweep.Map(sweep.Workers(workers), len(paths), func(i int) result {
-		f, err := os.Open(paths[i])
-		if err != nil {
+		a := analyze.New(cfg)
+		if err := telemetry.ReplayFile(paths[i], a.Emit); err != nil {
 			return result{err: err}
-		}
-		defer f.Close()
-		a, err := analyze.ReadStream(f, cfg)
-		if err != nil {
-			return result{err: fmt.Errorf("%s: %w", paths[i], err)}
 		}
 		a.Finalize()
 		return result{a: a}

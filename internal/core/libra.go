@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"libra/internal/cc"
@@ -259,25 +261,46 @@ func (l *Libra) SetTracer(t telemetry.Tracer, id int) {
 	l.rl.SetTracer(t, id)
 }
 
+// variants maps each Libra variant of Sec. 7 to the classic CCA it
+// runs next to the RL component; Clean-Slate Libra runs none.
+var variants = map[string]func(cc.Config) Classic{
+	"c-libra":  func(b cc.Config) Classic { return NewCubicAdapter(b) },
+	"b-libra":  func(b cc.Config) Classic { return NewBBRAdapter(b) },
+	"cl-libra": nil,
+	"w-libra":  func(b cc.Config) Classic { return NewWindowAdapter(westwood.New(b)) },
+	"i-libra":  func(b cc.Config) Classic { return NewWindowAdapter(illinois.New(b)) },
+	"d-libra":  func(b cc.Config) Classic { return NewWindowAdapter(dctcp.New(b)) },
+}
+
+// Variants lists the names NewVariant accepts, sorted.
+func Variants() []string {
+	out := make([]string, 0, len(variants))
+	for name := range variants {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// NewVariant builds the named Libra variant: it sets cfg's name and
+// classic CCA (built from cfg.CC) and keeps every other field. It
+// panics on a name Variants does not list.
+func NewVariant(name string, cfg Config) *Libra {
+	classic, ok := variants[name]
+	if !ok {
+		panic(fmt.Sprintf("core: unknown Libra variant %q", name))
+	}
+	cfg.Name, cfg.NoClassic = name, classic == nil
+	if classic != nil {
+		cfg.Classic = classic(cfg.CC)
+	}
+	return New(cfg)
+}
+
 func init() {
-	cc.Register("c-libra", func(base cc.Config) cc.Controller {
-		return New(Config{CC: base, Classic: NewCubicAdapter(base), Name: "c-libra"})
-	})
-	cc.Register("b-libra", func(base cc.Config) cc.Controller {
-		return New(Config{CC: base, Classic: NewBBRAdapter(base), Name: "b-libra"})
-	})
-	cc.Register("cl-libra", func(base cc.Config) cc.Controller {
-		return New(Config{CC: base, NoClassic: true})
-	})
-	cc.Register("w-libra", func(base cc.Config) cc.Controller {
-		return New(Config{CC: base, Classic: NewWindowAdapter(westwood.New(base)), Name: "w-libra"})
-	})
-	cc.Register("i-libra", func(base cc.Config) cc.Controller {
-		return New(Config{CC: base, Classic: NewWindowAdapter(illinois.New(base)), Name: "i-libra"})
-	})
-	cc.Register("d-libra", func(base cc.Config) cc.Controller {
-		return New(Config{CC: base, Classic: NewWindowAdapter(dctcp.New(base)), Name: "d-libra"})
-	})
+	for name := range variants {
+		cc.Register(name, func(base cc.Config) cc.Controller { return NewVariant(name, Config{CC: base}) })
+	}
 	cc.Register("mod-rl", func(base cc.Config) cc.Controller {
 		u := utility.Default()
 		cfg := rlcc.LibraRLConfig(base)

@@ -1,12 +1,17 @@
 package exp
 
 import (
-	"libra/internal/rlcc"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"libra/internal/cc"
+	"libra/internal/cc/orca"
+	"libra/internal/core"
+	"libra/internal/rl"
+	"libra/internal/rlcc"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -77,7 +82,7 @@ func TestScenarioBuilders(t *testing.T) {
 }
 
 func TestMakerForAllCCAs(t *testing.T) {
-	for _, name := range CCASet {
+	for _, name := range KnownCCAs() {
 		mk, err := MakerFor(name, nil, nil)
 		if err != nil {
 			t.Fatalf("maker for %s: %v", name, err)
@@ -85,6 +90,46 @@ func TestMakerForAllCCAs(t *testing.T) {
 		c := mk(1)
 		if c == nil {
 			t.Fatalf("maker for %s returned nil", name)
+		}
+	}
+}
+
+// TestMakerForBindsAgents pins that every learning-based CCA is built
+// around the agent set's trained policy, and that every other name
+// builds the same controller as the cc registry.
+func TestMakerForBindsAgents(t *testing.T) {
+	ag, err := LoadAgentSet("../../models", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]*rl.PPO{"aurora": ag.Aurora, "orca": ag.Orca, "mod-rl": ag.ModRL}
+	for _, name := range core.Variants() {
+		want[name] = ag.LibraRL
+	}
+	for _, name := range KnownCCAs() {
+		c := mustMaker(name, ag, nil)(1)
+		policy, learns := want[name]
+		if learns != ccaUsesAgents(name) {
+			t.Errorf("%s: ccaUsesAgents = %v, want %v", name, !learns, learns)
+		}
+		if !learns {
+			ref, err := cc.New(name, cc.Config{Seed: 1})
+			if err != nil || c.Name() != ref.Name() {
+				t.Errorf("%s: built %q, registry builds %v (err %v)", name, c.Name(), ref, err)
+			}
+			continue
+		}
+		var got *rl.PPO
+		switch c := c.(type) {
+		case *core.Libra:
+			got = c.RL().Agent()
+		case *orca.Orca:
+			got = c.Agent()
+		case *rlcc.Controller:
+			got = c.Agent()
+		}
+		if got != policy {
+			t.Errorf("%s (%T) does not run the agent set's trained policy", name, c)
 		}
 	}
 }

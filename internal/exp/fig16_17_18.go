@@ -167,18 +167,7 @@ func runFig18(rc *RunContext) *Report {
 		s := Scenario{Capacity: trace.NewLTE(trace.LTEWalking, dur, rc.Seed+7),
 			MinRTT: 30 * time.Millisecond, Buffer: 150_000, Duration: dur}
 		m := jc.RunFlow(s, mustMaker(names[i], jc.agents(), nil), time.Second)
-		n := int(dur / time.Second)
-		out := make([]float64, n)
-		for t := 0; t < n; t++ {
-			thr := trace.ToMbps(m.Flow.Stats.Throughput.Rate(t))
-			// Per-second latency gradient from the delay series.
-			grad := 0.0
-			if t > 0 {
-				grad = (m.Flow.Stats.Delay.Mean(t) - m.Flow.Stats.Delay.Mean(t-1)) / 1000
-			}
-			out[t] = u.Value(thr, grad, 0)
-		}
-		return out
+		return m.Utilities(u, int(dur/time.Second), 0)
 	})
 	bySeries := map[string][]float64{}
 	for i, n := range names {

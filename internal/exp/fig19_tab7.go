@@ -5,7 +5,6 @@ import (
 
 	"libra/internal/cc"
 	"libra/internal/core"
-	"libra/internal/rlcc"
 )
 
 func init() {
@@ -21,28 +20,6 @@ func init() {
 		Paper: "0.1-0.4x base rate all within ~1.3pp utilisation; default 0.3 a good middle",
 		Run:   runTab7,
 	})
-}
-
-// libraWithParams builds a C-Libra maker with explicit stage parameters.
-func libraWithParams(ag *AgentSet, exploreRTTs, exploitRTTs int, eiRTTs, th float64) Maker {
-	return func(seed int64) cc.Controller {
-		base := cc.Config{Seed: seed}.WithDefaults()
-		rlCfg := rlcc.LibraRLConfig(base)
-		if ag != nil {
-			rlCfg.Agent = ag.LibraRL
-			rlCfg.Norm = ag.LibraNorm
-		}
-		return core.New(core.Config{
-			CC:            base,
-			Classic:       core.NewCubicAdapter(base),
-			RL:            rlcc.New("libra-rl", rlCfg),
-			ExploreRTTs:   exploreRTTs,
-			ExploitRTTs:   exploitRTTs,
-			EIRTTs:        eiRTTs,
-			ThresholdFrac: th,
-			Name:          "c-libra",
-		})
-	}
 }
 
 func runFig19(rc *RunContext) *Report {
@@ -69,7 +46,12 @@ func runFig19(rc *RunContext) *Report {
 
 	ms := Sweep(rc, len(durations)*len(scens), func(jc *RunContext, i int) Metrics {
 		d := durations[i/len(scens)]
-		mk := libraWithParams(jc.agents(), d.explore, d.exploit, d.ei, 0.3)
+		ag := jc.agents()
+		mk := func(seed int64) cc.Controller {
+			return newLibra("c-libra", seed, ag, nil, func(c *core.Config) {
+				c.ExploreRTTs, c.ExploitRTTs, c.EIRTTs = d.explore, d.exploit, d.ei
+			})
+		}
 		return jc.RunFlow(scens[i%len(scens)], mk, 0)
 	})
 
@@ -111,7 +93,10 @@ func runTab7(rc *RunContext) *Report {
 	ms := Sweep(rc, len(fams)*len(ths)*per, func(jc *RunContext, i int) Metrics {
 		fi := i / (len(ths) * per)
 		ti := i / per % len(ths)
-		mk := libraWithParams(jc.agents(), 1, 1, 0.5, ths[ti])
+		ag := jc.agents()
+		mk := func(seed int64) cc.Controller {
+			return newLibra("c-libra", seed, ag, nil, func(c *core.Config) { c.ThresholdFrac = ths[ti] })
+		}
 		return jc.RunFlow(fams[fi].ss[i%per], mk, 0)
 	})
 

@@ -2,21 +2,12 @@ package exp
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
 	"libra/internal/cc"
-	"libra/internal/cc/bbr"
-	"libra/internal/cc/copa"
-	"libra/internal/cc/cubic"
-	"libra/internal/cc/indigo"
 	"libra/internal/cc/orca"
-	"libra/internal/cc/remy"
-	"libra/internal/cc/reno"
-	"libra/internal/cc/sprout"
-	"libra/internal/cc/vegas"
-	"libra/internal/cc/vivace"
 	"libra/internal/core"
 	"libra/internal/netem"
 	"libra/internal/netem/faults"
@@ -25,6 +16,16 @@ import (
 	"libra/internal/telemetry"
 	"libra/internal/trace"
 	"libra/internal/utility"
+
+	// Classic CCAs register themselves with cc; MakerFor resolves them
+	// by name.
+	_ "libra/internal/cc/copa"
+	_ "libra/internal/cc/indigo"
+	_ "libra/internal/cc/remy"
+	_ "libra/internal/cc/reno"
+	_ "libra/internal/cc/sprout"
+	_ "libra/internal/cc/vegas"
+	_ "libra/internal/cc/vivace"
 )
 
 // Scenario is one emulated-network workload.
@@ -110,149 +111,109 @@ type Metrics struct {
 	Err    error
 }
 
-// Maker constructs a fresh controller per flow.
-type Maker func(seed int64) cc.Controller
-
-// CCASet lists the controller names the harness can build.
-var CCASet = []string{
-	"cubic", "bbr", "reno", "vegas", "copa", "sprout", "vivace", "proteus",
-	"remy", "indigo", "aurora", "orca", "mod-rl", "westwood", "illinois",
-	"dctcp", "c-libra", "b-libra", "cl-libra", "w-libra", "i-libra", "d-libra",
-}
-
-// KnownCCAs returns every controller name MakerFor accepts: the
-// harness set plus everything registered with the cc package, sorted
-// and deduplicated.
-func KnownCCAs() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, n := range append(append([]string{}, CCASet...), cc.Names()...) {
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
+// Utilities scores each of the flow's first n seconds with Eq. 1: the
+// second's throughput, the latency gradient against the previous
+// second's mean delay (0 for second 0), and the given loss rate.
+func (m Metrics) Utilities(u utility.Libra, n int, loss float64) []float64 {
+	out := make([]float64, n)
+	for t := range out {
+		thr := trace.ToMbps(m.Flow.Stats.Throughput.Rate(t))
+		grad := 0.0
+		if t > 0 {
+			grad = (m.Flow.Stats.Delay.Mean(t) - m.Flow.Stats.Delay.Mean(t-1)) / 1000
 		}
+		out[t] = u.Value(thr, grad, loss)
 	}
-	sort.Strings(out)
 	return out
 }
 
-// MakerFor builds a controller factory for name, wiring in the trained
+// Maker constructs a fresh controller per flow.
+type Maker func(seed int64) cc.Controller
+
+// learned builds the registered controllers that have a learning
+// component, around the agent set's trained policy (an untrained one
+// when ag is nil). Every other name is built by the cc registry.
+var learned = map[string]func(seed int64, ag *AgentSet, util utility.Func) cc.Controller{
+	"aurora": func(seed int64, ag *AgentSet, _ utility.Func) cc.Controller {
+		cfg := rlcc.AuroraConfig(cc.Config{Seed: seed})
+		if ag != nil {
+			cfg.Agent, cfg.Norm = ag.Aurora, ag.AuroraNorm
+		}
+		return rlcc.New("aurora", cfg)
+	},
+	"orca": func(seed int64, ag *AgentSet, _ utility.Func) cc.Controller {
+		cfg := rlcc.OrcaRLConfig(cc.Config{Seed: seed})
+		if ag != nil {
+			cfg.Agent, cfg.Norm = ag.Orca, ag.OrcaNorm
+		}
+		return orca.New(cfg)
+	},
+	"mod-rl": func(seed int64, ag *AgentSet, _ utility.Func) cc.Controller {
+		cfg := rlcc.LibraRLConfig(cc.Config{Seed: seed})
+		cfg.RewardFunc = utility.Default().Value
+		if ag != nil {
+			cfg.Agent, cfg.Norm = ag.ModRL, ag.ModRLNorm
+		}
+		return rlcc.New("mod-rl", cfg)
+	},
+}
+
+func init() {
+	for _, name := range core.Variants() {
+		learned[name] = func(seed int64, ag *AgentSet, util utility.Func) cc.Controller {
+			return newLibra(name, seed, ag, util, nil)
+		}
+	}
+}
+
+// newLibra builds the named Libra variant around the set's trained RL
+// component (an untrained one when ag is nil), recording its control
+// cycles. mutate, when set, adjusts the configuration before the
+// variant's classic CCA is installed (ablations, sensitivity sweeps).
+func newLibra(name string, seed int64, ag *AgentSet, util utility.Func, mutate func(*core.Config)) cc.Controller {
+	base := cc.Config{Seed: seed}.WithDefaults()
+	rlCfg := rlcc.LibraRLConfig(base)
+	if ag != nil {
+		rlCfg.Agent, rlCfg.Norm = ag.LibraRL, ag.LibraNorm
+	}
+	cfg := core.Config{CC: base, RL: rlcc.New("libra-rl", rlCfg), Util: util, RecordCycles: true}
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	return core.NewVariant(name, cfg)
+}
+
+// KnownCCAs returns every controller name MakerFor accepts, sorted:
+// the cc registry, where the learning CCAs are registered too.
+func KnownCCAs() []string { return cc.Names() }
+
+// MakerFor builds a controller factory for name, binding the trained
 // agents where the algorithm has a learning component. Libra variants
 // accept a utility override via util (nil = paper default). Unknown
-// names return an error listing every registered controller.
+// names return an error listing every known controller.
 func MakerFor(name string, ag *AgentSet, util utility.Func) (Maker, error) {
-	libra := func(seed int64, classic func(cc.Config) core.Classic, noClassic bool, nm string) cc.Controller {
-		base := cc.Config{Seed: seed}.WithDefaults()
-		rlCfg := rlcc.LibraRLConfig(base)
-		if ag != nil {
-			rlCfg.Agent = ag.LibraRL
-			rlCfg.Norm = ag.LibraNorm
-		}
-		cfg := core.Config{
-			CC:           base,
-			RL:           rlcc.New("libra-rl", rlCfg),
-			Util:         util,
-			NoClassic:    noClassic,
-			Name:         nm,
-			RecordCycles: true,
-		}
-		if classic != nil {
-			cfg.Classic = classic(base)
-		}
-		return core.New(cfg)
+	if !slices.Contains(cc.Names(), name) {
+		return nil, fmt.Errorf("exp: unknown controller %q (known: %s)",
+			name, strings.Join(KnownCCAs(), ", "))
 	}
-	switch name {
-	case "cubic":
-		return func(seed int64) cc.Controller { return cubic.New(cc.Config{Seed: seed}) }, nil
-	case "bbr":
-		return func(seed int64) cc.Controller { return bbr.New(cc.Config{Seed: seed}) }, nil
-	case "reno":
-		return func(seed int64) cc.Controller { return reno.New(cc.Config{Seed: seed}) }, nil
-	case "vegas":
-		return func(seed int64) cc.Controller { return vegas.New(cc.Config{Seed: seed}) }, nil
-	case "copa":
-		return func(seed int64) cc.Controller { return copa.New(cc.Config{Seed: seed}) }, nil
-	case "sprout":
-		return func(seed int64) cc.Controller { return sprout.New(cc.Config{Seed: seed}) }, nil
-	case "vivace":
-		return func(seed int64) cc.Controller { return vivace.New(cc.Config{Seed: seed}) }, nil
-	case "proteus":
-		return func(seed int64) cc.Controller { return vivace.NewProteus(cc.Config{Seed: seed}) }, nil
-	case "remy":
-		return func(seed int64) cc.Controller { return remy.New(cc.Config{Seed: seed}) }, nil
-	case "indigo":
-		return func(seed int64) cc.Controller { return indigo.New(cc.Config{Seed: seed}) }, nil
-	case "aurora":
-		return func(seed int64) cc.Controller {
-			cfg := rlcc.AuroraConfig(cc.Config{Seed: seed})
-			if ag != nil {
-				cfg.Agent = ag.Aurora
-				cfg.Norm = ag.AuroraNorm
-			}
-			return rlcc.New("aurora", cfg)
-		}, nil
-	case "orca":
-		return func(seed int64) cc.Controller {
-			cfg := rlcc.OrcaRLConfig(cc.Config{Seed: seed})
-			if ag != nil {
-				cfg.Agent = ag.Orca
-				cfg.Norm = ag.OrcaNorm
-			}
-			return orca.New(cfg)
-		}, nil
-	case "mod-rl":
-		return func(seed int64) cc.Controller {
-			base := cc.Config{Seed: seed}
-			cfg := rlcc.LibraRLConfig(base)
-			u := utility.Default()
-			cfg.RewardFunc = u.Value
-			if ag != nil {
-				cfg.Agent = ag.ModRL
-				cfg.Norm = ag.ModRLNorm
-			}
-			return rlcc.New("mod-rl", cfg)
-		}, nil
-	case "c-libra":
-		return func(seed int64) cc.Controller {
-			return libra(seed, func(b cc.Config) core.Classic { return core.NewCubicAdapter(b) }, false, "c-libra")
-		}, nil
-	case "b-libra":
-		return func(seed int64) cc.Controller {
-			return libra(seed, func(b cc.Config) core.Classic { return core.NewBBRAdapter(b) }, false, "b-libra")
-		}, nil
-	case "cl-libra":
-		return func(seed int64) cc.Controller { return libra(seed, nil, true, "cl-libra") }, nil
-	default:
-		registered := false
-		for _, n := range cc.Names() {
-			if n == name {
-				registered = true
-				break
-			}
-		}
-		if !registered {
-			return nil, fmt.Errorf("exp: unknown controller %q (known: %s)",
-				name, strings.Join(KnownCCAs(), ", "))
-		}
-		return func(seed int64) cc.Controller {
-			ctrl, err := cc.New(name, cc.Config{Seed: seed})
-			if err != nil {
-				panic(err) // unreachable: name validated against the registry above
-			}
-			return ctrl
-		}, nil
+	if build, ok := learned[name]; ok {
+		return func(seed int64) cc.Controller { return build(seed, ag, util) }, nil
 	}
+	return func(seed int64) cc.Controller {
+		ctrl, err := cc.New(name, cc.Config{Seed: seed})
+		if err != nil {
+			panic(err) // unreachable: name validated against the registry above
+		}
+		return ctrl
+	}, nil
 }
 
 // ccaUsesAgents reports whether the named controller consults the
 // trained agent set; for anything else, resolving agents (and possibly
 // triggering lazy training) would be pure waste.
 func ccaUsesAgents(name string) bool {
-	switch name {
-	case "aurora", "orca", "mod-rl", "c-libra", "b-libra", "cl-libra":
-		return true
-	}
-	return false
+	_, ok := learned[name]
+	return ok
 }
 
 // mustMaker is MakerFor for statically known controller names (the

@@ -6,7 +6,6 @@ import (
 	"libra/internal/analyze"
 	"libra/internal/exp"
 	"libra/internal/telemetry"
-	"libra/internal/trace"
 	"libra/internal/utility"
 )
 
@@ -89,17 +88,10 @@ func Eval(jc *exp.RunContext, sp Spec, u utility.Libra) Outcome {
 // the target flow, from its recorded throughput/delay series (per-
 // second latency gradient, run loss rate in every term).
 func score(m exp.Metrics, u utility.Libra, seconds int) float64 {
-	if seconds < 1 {
-		seconds = 1
-	}
+	seconds = max(seconds, 1)
 	sum := 0.0
-	for t := 0; t < seconds; t++ {
-		thr := trace.ToMbps(m.Flow.Stats.Throughput.Rate(t))
-		grad := 0.0
-		if t > 0 {
-			grad = (m.Flow.Stats.Delay.Mean(t) - m.Flow.Stats.Delay.Mean(t-1)) / 1000
-		}
-		sum += u.Value(thr, grad, m.LossRate)
+	for _, v := range m.Utilities(u, seconds, m.LossRate) {
+		sum += v
 	}
 	return sum / float64(seconds)
 }

@@ -3,6 +3,7 @@ package netem
 import (
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -119,11 +120,66 @@ func measureNetem() (pktsPerSec, allocsPerPkt float64) {
 	return float64(pkts) / wall.Seconds(), float64(m1.Mallocs-m0.Mallocs) / float64(pkts)
 }
 
+// mergeBenchBlocks sets the given top-level blocks of the JSON file at
+// path and keeps every other block there, so the guards that share
+// BENCH_core.json can run in any order.
+func mergeBenchBlocks(t *testing.T, path string, blocks map[string]any) {
+	t.Helper()
+	doc := map[string]json.RawMessage{}
+	if prev, err := os.ReadFile(path); err == nil {
+		if err := json.Unmarshal(prev, &doc); err != nil {
+			t.Fatalf("existing %s is not a JSON object: %v", path, err)
+		}
+	}
+	for name, blk := range blocks {
+		raw, err := json.Marshal(blk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc[name] = raw
+	}
+	out, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMergeBenchBlocksKeepsOthers pins that recording one guard's
+// blocks leaves the blocks other guards recorded in place.
+func TestMergeBenchBlocksKeepsOthers(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_core.json")
+	prev := `{"current": {"engine": "old"}, "flight": {"ring_depth": 4096}}`
+	if err := os.WriteFile(path, []byte(prev), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mergeBenchBlocks(t, path, map[string]any{"current": coreBenchNumbers{Engine: "new"}})
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Current coreBenchNumbers `json:"current"`
+		Flight  struct {
+			Depth int `json:"ring_depth"`
+		} `json:"flight"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Current.Engine != "new" || doc.Flight.Depth != 4096 {
+		t.Fatalf("merged file lost a block or kept a stale one:\n%s", raw)
+	}
+}
+
 // TestBenchCore records the core perf trajectory into BENCH_core.json:
 // engine events/sec and end-to-end netem packets/sec, with allocs per
 // event/packet. The baseline block (the pre-rewrite container/heap
 // engine, measured on the same machine) is preserved from the existing
-// file so the speedup stays anchored to the recorded before/after pair.
+// file so the speedup stays anchored to the recorded before/after pair,
+// and so are the blocks other guards record there.
 // Only arms under CORE_BENCH=1 (make bench-core): timing inside a
 // parallel `go test ./...` sweep measures contention, not the engine.
 func TestBenchCore(t *testing.T) {
@@ -139,42 +195,26 @@ func TestBenchCore(t *testing.T) {
 	if path == "" {
 		path = "../../BENCH_core.json"
 	}
-	out := struct {
-		Baseline       coreBenchNumbers `json:"baseline"`
-		Current        coreBenchNumbers `json:"current"`
-		PacketsSpeedup float64          `json:"packets_speedup"`
-	}{Current: cur}
+	var baseline coreBenchNumbers
 	if prev, err := os.ReadFile(path); err == nil {
 		var old struct {
 			Baseline coreBenchNumbers `json:"baseline"`
 		}
 		if json.Unmarshal(prev, &old) == nil && old.Baseline.PacketsPerSec > 0 {
-			out.Baseline = old.Baseline
+			baseline = old.Baseline
 		}
 	}
-	if out.Baseline.PacketsPerSec == 0 {
+	if baseline.PacketsPerSec == 0 {
 		// First recording on this machine: the current numbers become the
 		// baseline for future regressions.
-		out.Baseline = cur
+		baseline = cur
 	}
-	out.PacketsSpeedup = cur.PacketsPerSec / out.Baseline.PacketsPerSec
-
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatalf("create %s: %v", path, err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	speedup := cur.PacketsPerSec / baseline.PacketsPerSec
+	mergeBenchBlocks(t, path, map[string]any{"baseline": baseline, "current": cur, "packets_speedup": speedup})
 	t.Logf("engine: %.0f events/sec (%.1f ns/event, %.2f allocs/event)",
 		cur.EventsPerSec, cur.NsPerEvent, cur.AllocsPerEvent)
 	t.Logf("netem: %.0f packets/sec (%.2f allocs/packet), %.2fx vs baseline -> %s",
-		cur.PacketsPerSec, cur.AllocsPerPacket, out.PacketsSpeedup, path)
+		cur.PacketsPerSec, cur.AllocsPerPacket, speedup, path)
 	if os.Getenv("CORE_BENCH_GUARD") != "" && cur.AllocsPerPacket >= 1 {
 		t.Errorf("netem steady path allocates %.2f allocs/packet, want < 1", cur.AllocsPerPacket)
 	}

@@ -1,7 +1,6 @@
 package netem
 
 import (
-	"encoding/json"
 	"os"
 	"runtime"
 	"testing"
@@ -81,28 +80,11 @@ func TestBenchTopo(t *testing.T) {
 	if path == "" {
 		path = "../../BENCH_core.json"
 	}
-	doc := map[string]json.RawMessage{}
-	if prev, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(prev, &doc); err != nil {
-			t.Fatalf("existing %s is not a JSON object: %v", path, err)
-		}
-	}
-	blk, err := json.Marshal(struct {
+	mergeBenchBlocks(t, path, map[string]any{"topo": struct {
 		Hops            int     `json:"hops"`
 		PacketsPerSec   float64 `json:"topo_packets_per_sec"`
 		AllocsPerPacket float64 `json:"topo_allocs_per_packet"`
-	}{Hops: 3, PacketsPerSec: pktsPerSec, AllocsPerPacket: allocsPerPkt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc["topo"] = blk
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	}{Hops: 3, PacketsPerSec: pktsPerSec, AllocsPerPacket: allocsPerPkt}})
 	t.Logf("topo: %.0f hop-packets/sec (%.4f allocs/packet) over 3 hops -> %s",
 		pktsPerSec, allocsPerPkt, path)
 

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"strconv"
 	"time"
 )
@@ -334,16 +335,37 @@ func (d *Decoder) Next() (Event, error) {
 
 // ReadAll decodes every event in r.
 func ReadAll(r io.Reader) ([]Event, error) {
-	d := NewDecoder(r)
 	var out []Event
+	err := Replay(r, func(e *Event) { out = append(out, *e) })
+	return out, err
+}
+
+// Replay decodes the JSONL event stream in r and hands every event to
+// emit in stream order, stopping at the first decode error.
+func Replay(r io.Reader, emit func(*Event)) error {
+	d := NewDecoder(r)
 	for {
 		e, err := d.Next()
 		if err == io.EOF {
-			return out, nil
+			return nil
 		}
 		if err != nil {
-			return out, err
+			return err
 		}
-		out = append(out, e)
+		emit(&e)
 	}
+}
+
+// ReplayFile is Replay over the file at path; decode errors are
+// prefixed with the path, so they name both file and line.
+func ReplayFile(path string, emit func(*Event)) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if err := Replay(f, emit); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return nil
 }

@@ -6,6 +6,8 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -140,6 +142,21 @@ func TestDecoderSkipsBlanksAndReportsLine(t *testing.T) {
 	_, err = ReadAll(strings.NewReader("{\"t\":1,\"type\":\"queue\",\"flow\":-1}\nnot json\n"))
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("want line-numbered decode error, got %v", err)
+	}
+}
+
+// TestReplayFileNamesFileAndLine checks that ReplayFile hands over the
+// events before a bad line and that its error names file and line.
+func TestReplayFileNamesFileAndLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "events.jsonl")
+	in := "{\"t\":1,\"type\":\"queue\",\"flow\":-1}\n\nnot json\n"
+	if err := os.WriteFile(path, []byte(in), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	err := ReplayFile(path, func(*Event) { n++ })
+	if n != 1 || err == nil || !strings.Contains(err.Error(), path+": telemetry: line 3") {
+		t.Fatalf("got %d events, err %v; want 1 event and an error naming %s line 3", n, err, path)
 	}
 }
 

@@ -12,12 +12,12 @@ func FuzzParseMahimahi(f *testing.F) {
 	f.Add("0\n1\n2\n3\n")
 	f.Add("# comment\n\n100\n100\n100\n250\n")
 	f.Add("5\n5\n5\n5\n5\n5\n5\n5\n")
-	f.Add("1000\n0\n500\n")         // unsorted
-	f.Add("-1\n")                   // negative timestamp
-	f.Add("86400001\n")             // beyond the horizon
-	f.Add("12abc\n")                // malformed integer
-	f.Add("9223372036854775807\n")  // would overflow the bin array
-	f.Add("")                       // empty trace
+	f.Add("1000\n0\n500\n")        // unsorted
+	f.Add("-1\n")                  // negative timestamp
+	f.Add("86400001\n")            // beyond the horizon
+	f.Add("12abc\n")               // malformed integer
+	f.Add("9223372036854775807\n") // would overflow the bin array
+	f.Add("")                      // empty trace
 	f.Fuzz(func(t *testing.T, in string) {
 		tr, err := ParseMahimahi(strings.NewReader(in))
 		if err != nil {

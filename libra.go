@@ -166,11 +166,10 @@ func LTE(scenario string, d time.Duration, seed int64) Trace {
 func Mbps(v float64) float64   { return trace.Mbps(v) }
 func ToMbps(v float64) float64 { return trace.ToMbps(v) }
 
-// Baseline constructs one of the comparison CCAs by name: cubic, bbr,
-// reno, vegas, copa, sprout, vivace, proteus, remy, indigo, aurora,
-// orca, mod-rl, westwood, illinois, dctcp, or the Libra variants
-// c-libra, b-libra, cl-libra, w-libra, i-libra, d-libra (see
-// Baselines for the authoritative list). Unknown names return nil.
+// Baseline constructs the named comparison CCA with untrained learning
+// components: any name Baselines lists, from cubic or bbr to the Libra
+// variants (c-libra, b-libra, cl-libra, w-libra, i-libra, d-libra).
+// Unknown names return nil.
 func Baseline(name string, seed int64) Controller {
 	mk, err := exp.MakerFor(name, nil, nil)
 	if err != nil {
@@ -179,8 +178,9 @@ func Baseline(name string, seed int64) Controller {
 	return mk(seed)
 }
 
-// Baselines lists the available comparison CCAs.
-func Baselines() []string { return append([]string(nil), exp.CCASet...) }
+// Baselines lists every name Baseline builds, sorted: every registered
+// controller, so it also includes the plain RL controller "rl".
+func Baselines() []string { return exp.KnownCCAs() }
 
 // TrainLibraAgent trains the RL component on randomized emulated
 // networks (the paper's offline training step) and returns a sender

@@ -1,10 +1,16 @@
 #!/bin/sh
-# Full pre-merge gate: vet, build, race-detector test sweep, and the
-# no-op tracer overhead budget (<2 ns/op, 0 allocs/op). Equivalent to
-# `make check` for environments without make.
+# Full pre-merge gate for environments without make, the steps of
+# `make check`: gofmt, vet, build, the race-detector test sweep, the
+# benchmark module's self-tests, short fuzz passes, the hot-path budget
+# guards (which record BENCH_*.json), and the analyze, sink and lab
+# smokes.
 set -eux
 
 cd "$(dirname "$0")/.."
+
+# Formatting: fails listing every Go file gofmt would change.
+out=$(gofmt -l .)
+if [ -n "$out" ]; then echo "gofmt -l:"; echo "$out"; exit 1; fi
 
 go vet ./...
 go build ./...
