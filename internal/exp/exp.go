@@ -90,13 +90,6 @@ func (t Table) String() string {
 	return b.String()
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 var (
 	regMu    sync.Mutex
 	registry []Experiment

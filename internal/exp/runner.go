@@ -328,7 +328,6 @@ func (rc *RunContext) run(s Scenario, mks []Maker, starts []time.Duration, bucke
 			LossRate:     s.Loss,
 			Faults:       inj,
 			Seed:         rc.Seed,
-			RecordSeries: bucket > 0,
 			SeriesBucket: bucket,
 			Tracer:       rc.Tracer,
 			Health:       rc.Health,
@@ -340,7 +339,6 @@ func (rc *RunContext) run(s Scenario, mks []Maker, starts []time.Duration, bucke
 			Seed:         rc.Seed,
 			Tracer:       rc.Tracer,
 			Health:       rc.Health,
-			RecordSeries: bucket > 0,
 			SeriesBucket: bucket,
 			ExtraFaults:  rc.planFor(s),
 		})

@@ -269,8 +269,7 @@ type TopoBuild struct {
 	MSS          int
 	Tracer       telemetry.Tracer
 	Health       *telemetry.Health
-	RecordSeries bool
-	SeriesBucket time.Duration
+	SeriesBucket time.Duration // > 0 records per-flow series
 	// ExtraFaults, when non-empty, lands on the main route's bottleneck
 	// hop — unless that link already carries its own plan. This is how
 	// a scenario-level plan (libra-bench -fault) composes with -topo.
@@ -324,7 +323,6 @@ func (ts *TopoSpec) Build(b TopoBuild) (*netem.Topology, map[string]*netem.Route
 		Links:        specs,
 		MSS:          b.MSS,
 		Seed:         b.Seed,
-		RecordSeries: b.RecordSeries,
 		SeriesBucket: b.SeriesBucket,
 		Tracer:       b.Tracer,
 		Health:       b.Health,

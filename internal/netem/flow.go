@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"libra/internal/cc"
-	"libra/internal/sim"
 )
 
 // reorderThreshold is the duplicate-ACK style gap (in packets) beyond
@@ -100,11 +99,14 @@ type Flow struct {
 	rttvar    time.Duration
 	minRTT    time.Duration
 
-	nextSend   time.Duration
-	paceTimer  sim.Timer
-	paceArmed  bool
-	rtoTimer   sim.Timer
-	rtoArmed   bool
+	nextSend  time.Duration
+	paceArmed bool
+
+	// The RTO is a deadline, not a cancellable timer: ACKs only move
+	// rtoAt (0 = disarmed). One engine event, queued at rtoQ <= rtoAt,
+	// stands for it; see rtoCb.
+	rtoAt      time.Duration
+	rtoQ       time.Duration // instant of the live queued RTO event; 0 = none
 	rtoBackoff int
 
 	ackBuf  cc.Ack
@@ -187,8 +189,8 @@ func (f *Flow) stop() {
 	}
 	f.running = false
 	f.Stats.Active = f.topo.Eng.Now() - f.startAt
-	f.topo.Eng.Cancel(f.paceTimer)
-	f.topo.Eng.Cancel(f.rtoTimer)
+	// Disarm the RTO; a queued pacing event finds !running and returns.
+	f.rtoAt = 0
 	if st, ok := f.ctrl.(cc.Stopper); ok {
 		st.Stop(f.topo.Eng.Now())
 	}
@@ -253,7 +255,7 @@ func (f *Flow) armPacing(at time.Duration) {
 		return
 	}
 	f.paceArmed = true
-	f.paceTimer = f.topo.Eng.AtCall(at, paceCb, f)
+	f.topo.Eng.AtCall(at, paceCb, f)
 }
 
 func (f *Flow) sendPacket(now time.Duration) {
@@ -403,27 +405,52 @@ func (f *Flow) rto() time.Duration {
 	return rto
 }
 
-// rtoCb fires the retransmission timeout.
-func rtoCb(arg any) { arg.(*Flow).onRTO() }
+// setRTO moves the RTO deadline to at. The queued event stays when it
+// fires no later than at (it re-queues itself at the deadline); an
+// earlier deadline queues an earlier event, and the later one is
+// ignored when it fires.
+func (f *Flow) setRTO(at time.Duration) {
+	f.rtoAt = at
+	if f.rtoQ == 0 || at < f.rtoQ {
+		f.rtoQ = at
+		f.topo.Eng.AtCall(at, rtoCb, f)
+	}
+}
+
+// rtoCb is the flow's queued RTO event: it times out at the deadline,
+// re-queues itself when it fires before it, and returns when superseded
+// by an earlier event or disarmed.
+func rtoCb(arg any) {
+	f := arg.(*Flow)
+	now := f.topo.Eng.Now()
+	if now != f.rtoQ {
+		return // superseded
+	}
+	f.rtoQ = 0
+	switch {
+	case f.rtoAt == 0: // disarmed
+	case now < f.rtoAt:
+		f.setRTO(f.rtoAt)
+	default:
+		f.rtoAt = 0
+		f.onRTO()
+	}
+}
 
 func (f *Flow) armRTO(now time.Duration) {
-	if f.rtoArmed {
-		return
+	if f.rtoAt == 0 {
+		f.setRTO(now + f.rto())
 	}
-	f.rtoArmed = true
-	f.rtoTimer = f.topo.Eng.AtCall(now+f.rto(), rtoCb, f)
 }
 
 func (f *Flow) rearmRTO(now time.Duration) {
-	f.topo.Eng.Cancel(f.rtoTimer)
-	f.rtoArmed = false
+	f.rtoAt = 0
 	if f.inflightBytes > 0 {
 		f.armRTO(now)
 	}
 }
 
 func (f *Flow) onRTO() {
-	f.rtoArmed = false
 	if !f.running && f.inflightBytes == 0 {
 		return
 	}

@@ -36,18 +36,13 @@ type Config struct {
 	MSS int
 	// Seed drives all stochastic behaviour.
 	Seed int64
-	// RecordSeries enables per-flow throughput/delay time series with
-	// the given bucket (default 100 ms when RecordSeries is set but
-	// SeriesBucket is zero).
-	RecordSeries bool
+	// SeriesBucket, when positive, enables per-flow throughput/delay
+	// time series with that bucket.
 	SeriesBucket time.Duration
 	// Tracer, when enabled, receives bottleneck telemetry: per-packet
-	// enqueue/drop events (drops tagged tail/channel/aqm) and periodic
-	// queue-occupancy samples.
+	// enqueue/drop events (drops tagged tail/channel/aqm) and
+	// queue-occupancy samples every queueSampleEvery.
 	Tracer telemetry.Tracer
-	// QueueSampleInterval is the spacing of queue-occupancy samples
-	// (default 100 ms; only used when Tracer is enabled).
-	QueueSampleInterval time.Duration
 	// Health, when set, has the network's engine registered for runtime
 	// health sampling for the lifetime of Run.
 	Health *telemetry.Health
@@ -88,13 +83,11 @@ func New(cfg Config) *Network {
 			CoDel:        cfg.CoDel,
 			Faults:       cfg.Faults,
 		}},
-		MSS:                 cfg.MSS,
-		Seed:                cfg.Seed,
-		RecordSeries:        cfg.RecordSeries,
-		SeriesBucket:        cfg.SeriesBucket,
-		Tracer:              cfg.Tracer,
-		QueueSampleInterval: cfg.QueueSampleInterval,
-		Health:              cfg.Health,
+		MSS:          cfg.MSS,
+		Seed:         cfg.Seed,
+		SeriesBucket: cfg.SeriesBucket,
+		Tracer:       cfg.Tracer,
+		Health:       cfg.Health,
 	})
 	if err != nil {
 		panic("netem: degenerate topology rejected: " + err.Error()) // unreachable: spec is built here

@@ -53,16 +53,13 @@ type TopologyConfig struct {
 	MSS int
 	// Seed drives all stochastic behaviour.
 	Seed int64
-	// RecordSeries enables per-flow throughput/delay time series with
-	// the given bucket (default 100 ms when unset).
-	RecordSeries bool
+	// SeriesBucket, when positive, enables per-flow throughput/delay
+	// time series with that bucket.
 	SeriesBucket time.Duration
 	// Tracer receives per-link telemetry: enqueue/drop events and
-	// periodic queue-occupancy samples, each labelled with the link.
+	// queue-occupancy samples every queueSampleEvery, each labelled
+	// with the link.
 	Tracer telemetry.Tracer
-	// QueueSampleInterval is the spacing of queue-occupancy samples
-	// (default 100 ms; only used when Tracer is enabled).
-	QueueSampleInterval time.Duration
 	// Health, when set, has the topology's engine registered for
 	// runtime health sampling for the lifetime of Run.
 	Health *telemetry.Health
@@ -104,11 +101,14 @@ type Topology struct {
 
 	qEvBuf telemetry.Event // reused queue-sample event buffer
 
-	// Queue-sampler state; the sampler re-arms itself through the
-	// engine's pooled callback path.
+	// sampleTracer receives the queue sampler's events; the sampler
+	// re-arms itself through the engine's pooled callback path.
 	sampleTracer telemetry.Tracer
-	sampleEvery  time.Duration
 }
+
+// queueSampleEvery is the spacing of queue-occupancy samples when a
+// tracer is enabled.
+const queueSampleEvery = 100 * time.Millisecond
 
 // linkSeedStride separates per-link stochastic streams; link 0 keeps
 // the topology seed itself so the degenerate single-link case draws
@@ -204,10 +204,6 @@ func newTopology(cfg TopologyConfig) (*Topology, error) {
 	}
 	if traceOn {
 		tp.sampleTracer = tracer
-		tp.sampleEvery = cfg.QueueSampleInterval
-		if tp.sampleEvery <= 0 {
-			tp.sampleEvery = 100 * time.Millisecond
-		}
 		tp.sampleQueues()
 	}
 	return tp, nil
@@ -309,7 +305,7 @@ func (tp *Topology) sampleQueues() {
 			Link: l.label, Queue: int64(l.QueuedBytes()), Rate: rate}
 		tp.sampleTracer.Emit(&tp.qEvBuf)
 	}
-	tp.Eng.AfterCall(tp.sampleEvery, topoSampleCb, tp)
+	tp.Eng.AfterCall(queueSampleEvery, topoSampleCb, tp)
 }
 
 // AddFlowOn attaches a sender driven by ctrl to the route, active on
@@ -324,11 +320,7 @@ func (tp *Topology) AddFlowOn(r *Route, ctrl cc.Controller, start, stop time.Dur
 		startAt: start,
 		stopAt:  stop,
 	}
-	if tp.tcfg.RecordSeries {
-		b := tp.tcfg.SeriesBucket
-		if b <= 0 {
-			b = 100 * time.Millisecond
-		}
+	if b := tp.tcfg.SeriesBucket; b > 0 {
 		f.Stats.Throughput = NewSeries(b)
 		f.Stats.Delay = NewSeries(b)
 	}

@@ -128,51 +128,10 @@ func (p *PPO) Act(obs []float64) (act []float64, logp, value float64) {
 	return act, logp, value
 }
 
-// ActSeeded is Act with per-decision seeded exploration noise instead
-// of the shared RNG stream: the action is a pure function of (weights,
-// obs, seed), so concurrent flows sharing this agent cannot perturb
-// each other. dst is reused for the action when correctly sized.
-func (p *PPO) ActSeeded(obs []float64, seed uint64, dst []float64) (act []float64, logp, value float64) {
-	mean := p.Policy.Actor.Forward(obs)
-	act = p.Policy.SampleFrom(mean, seed, dst)
-	logp = p.Policy.logProbGiven(mean, act)
-	value = p.Critic.Forward(obs)[0]
-	return act, logp, value
-}
-
 // MeanBatch evaluates the greedy policy for a batch of observations
 // (one per row); row i is bit-identical to Policy.Mean(row i).
 func (p *PPO) MeanBatch(X *nn.Matrix) *nn.Matrix {
 	return p.Policy.MeanBatch(X)
-}
-
-// ActBatch evaluates a batch of observations through one forward pass
-// per network and samples row r with seeds[r]. Row r of the result is
-// bit-identical to ActSeeded(X row r, seeds[r]): the batched GEMM
-// reproduces the sequential accumulation order and the noise depends
-// only on the per-row seed, so results are independent of batch
-// composition and order. acts is reused when shaped B x actDim; logps
-// and vals must have length B.
-func (p *PPO) ActBatch(X *nn.Matrix, seeds []uint64, acts *nn.Matrix, logps, vals []float64) *nn.Matrix {
-	b := X.Rows
-	if len(seeds) != b || len(logps) != b || len(vals) != b {
-		panic("rl: ActBatch slice lengths must match X.Rows")
-	}
-	ad := len(p.Policy.LogStd)
-	if acts == nil || acts.Rows != b || acts.Cols != ad {
-		acts = nn.NewMatrix(b, ad)
-	}
-	means := p.Policy.MeanBatch(X)
-	for r := 0; r < b; r++ {
-		mean := means.Data[r*ad : (r+1)*ad]
-		act := p.Policy.SampleFrom(mean, seeds[r], acts.Data[r*ad:(r+1)*ad])
-		logps[r] = p.Policy.logProbGiven(mean, act)
-	}
-	crit := p.Critic.ForwardBatch(X)
-	for r := 0; r < b; r++ {
-		vals[r] = crit.At(r, 0)
-	}
-	return acts
 }
 
 // Store appends a transition to the rollout buffer.

@@ -41,8 +41,8 @@ func BenchmarkSteadyCallback(b *testing.B) {
 	}
 }
 
-// BenchmarkClosureSchedule measures the legacy At path (closure per
-// event) for comparison; this is the cold-path API.
+// BenchmarkClosureSchedule measures At, the cold-path closure API, for
+// comparison: it dispatches through AtCall with the closure as argument.
 func BenchmarkClosureSchedule(b *testing.B) {
 	e := New(1)
 	fn := func() {}

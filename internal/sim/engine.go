@@ -7,18 +7,19 @@
 //
 // # Hot path
 //
-// The queue is an inlined, value-typed 4-ary min-heap of small (24-byte)
-// entries — no per-event pointer, no interface boxing, no container/heap
-// dispatch. Event payloads (the function to run) live in a generation-
-// counted slot table recycled through a free list, so steady-state
-// scheduling and dispatch allocate nothing. Two scheduling APIs share
-// this machinery:
+// The queue is an inlined, value-typed 4-ary min-heap whose entries
+// carry the event itself — {at, seq, cb, arg} — so there is no per-event
+// pointer, no side table and no container/heap dispatch. Events cannot be
+// cancelled: a component that needs a movable timeout keeps a deadline
+// and ignores events that fire before it (see netem's RTO). Two
+// scheduling APIs share the one dispatch path:
 //
-//   - At/After take a closure. Convenient, but the closure itself is an
-//     allocation at the call site — use on setup and other cold paths.
 //   - AtCall/AfterCall take a fixed Callback plus an argument. When the
 //     callback is a package-level function and the argument is a pointer,
 //     scheduling is allocation-free — this is the per-packet path.
+//   - At/After take a closure and wrap it as an AtCall argument.
+//     Convenient, but the closure itself is an allocation at the call
+//     site — use on setup and other cold paths.
 package sim
 
 import (
@@ -38,22 +39,11 @@ type Clock = time.Duration
 // allocate either, which is what keeps the per-packet paths alloc-free.
 type Callback func(arg any)
 
-// heapEntry is one queue position: ordering key plus a handle into the
-// slot table. Entries are moved by value during sifts; the payload never
-// moves.
+// heapEntry is one scheduled event: ordering key plus payload. Entries
+// are moved by value during sifts.
 type heapEntry struct {
-	at   Clock
-	seq  uint64 // tie-breaker: FIFO among same-instant events
-	slot int32
-	gen  uint32
-}
-
-// slotRec holds one scheduled event's payload. gen increments every time
-// the slot changes state (armed, fired, cancelled), so stale heap entries
-// and stale Timer handles are recognised in O(1) even after slot reuse.
-type slotRec struct {
-	gen uint32
-	fn  func()
+	at  Clock
+	seq uint64 // tie-breaker: FIFO among same-instant events
 	cb  Callback
 	arg any
 }
@@ -64,14 +54,10 @@ type Engine struct {
 	now        Clock
 	seq        uint64
 	heap       []heapEntry
-	slots      []slotRec
-	free       []int32 // recycled slot indices
-	live       int     // scheduled and not yet cancelled/dispatched
 	rng        *rand.Rand
-	halted     bool
 	dispatched int64 // total events fired, counted on the hot path
 
-	// progress mirrors now/dispatched/live through atomics for
+	// progress mirrors now/dispatched/pending through atomics for
 	// cross-goroutine health sampling. The hot path refreshes it every
 	// progressStride dispatches (amortized: three atomic stores per
 	// stride), so readers see values at most one stride stale rather
@@ -101,14 +87,6 @@ func (e *Engine) Now() Clock { return e.now }
 // components of a simulation should draw from this source (or from sources
 // derived from it) so that runs are reproducible.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
-
-// Timer identifies a scheduled event so that it can be cancelled. The
-// zero Timer is valid and refers to nothing; generation counting makes a
-// stale Timer (fired, cancelled, or slot since reused) a safe no-op.
-type Timer struct {
-	slot int32 // slot index + 1; 0 means "no timer"
-	gen  uint32
-}
 
 // less orders entries by time, then FIFO by scheduling sequence.
 func less(a, b *heapEntry) bool {
@@ -162,119 +140,42 @@ func (e *Engine) siftDown(i int) {
 	h[i] = ent
 }
 
-// popTop removes the minimum entry.
-func (e *Engine) popTop() {
-	n := len(e.heap) - 1
-	e.heap[0] = e.heap[n]
-	e.heap = e.heap[:n]
-	if n > 0 {
-		e.siftDown(0)
-	}
-}
-
-// allocSlot returns a free slot index, recycling before growing.
-func (e *Engine) allocSlot() int32 {
-	if n := len(e.free); n > 0 {
-		s := e.free[n-1]
-		e.free = e.free[:n-1]
-		return s
-	}
-	e.slots = append(e.slots, slotRec{})
-	return int32(len(e.slots) - 1)
-}
-
-// schedule arms one event. Exactly one of fn/cb is non-nil.
-func (e *Engine) schedule(t Clock, fn func(), cb Callback, arg any) Timer {
+// AtCall schedules cb(arg) at virtual time t. Scheduling in the past (t
+// less than Now) runs the event at the current instant instead; this
+// keeps callers simple when computing delays that may round to zero or
+// below. With a package-level cb and a pointer arg this allocates
+// nothing.
+func (e *Engine) AtCall(t Clock, cb Callback, arg any) {
 	if t < e.now {
 		t = e.now
 	}
-	s := e.allocSlot()
-	rec := &e.slots[s]
-	rec.gen++ // distinguishes this arming from every previous use of the slot
-	rec.fn, rec.cb, rec.arg = fn, cb, arg
-	e.heap = append(e.heap, heapEntry{at: t, seq: e.seq, slot: s, gen: rec.gen})
+	e.heap = append(e.heap, heapEntry{at: t, seq: e.seq, cb: cb, arg: arg})
 	e.seq++
 	e.siftUp(len(e.heap) - 1)
-	e.live++
-	return Timer{slot: s + 1, gen: rec.gen}
-}
-
-// At schedules fn to run at virtual time t. Scheduling in the past (t less
-// than Now) runs the event at the current instant instead; this keeps
-// callers simple when computing delays that may round to zero or below.
-// The closure is a call-site allocation — hot paths use AtCall.
-func (e *Engine) At(t Clock, fn func()) Timer {
-	return e.schedule(t, fn, nil, nil)
-}
-
-// After schedules fn to run d from now.
-func (e *Engine) After(d Clock, fn func()) Timer {
-	return e.schedule(e.now+d, fn, nil, nil)
-}
-
-// AtCall schedules cb(arg) at virtual time t (clamped to now like At).
-// With a package-level cb and a pointer arg this allocates nothing.
-func (e *Engine) AtCall(t Clock, cb Callback, arg any) Timer {
-	return e.schedule(t, nil, cb, arg)
 }
 
 // AfterCall schedules cb(arg) to run d from now.
-func (e *Engine) AfterCall(d Clock, cb Callback, arg any) Timer {
-	return e.schedule(e.now+d, nil, cb, arg)
-}
+func (e *Engine) AfterCall(d Clock, cb Callback, arg any) { e.AtCall(e.now+d, cb, arg) }
 
-// Cancel removes a scheduled event in O(1). Cancelling the zero Timer, an
-// already-fired timer, an already-cancelled timer, or a timer whose slot
-// has since been reused is a no-op (the generation check catches all
-// four). The heap entry stays behind and is discarded lazily at pop.
-func (e *Engine) Cancel(t Timer) {
-	if t.slot == 0 {
-		return
-	}
-	rec := &e.slots[t.slot-1]
-	if rec.gen != t.gen {
-		return
-	}
-	rec.gen++ // kill the heap entry and any duplicate handles
-	rec.fn, rec.cb, rec.arg = nil, nil, nil
-	e.free = append(e.free, t.slot-1)
-	e.live--
-}
+// callFn dispatches a closure scheduled through At/After.
+func callFn(arg any) { arg.(func())() }
 
-// Halt stops Run before the next event is dispatched.
-func (e *Engine) Halt() { e.halted = true }
+// At schedules fn to run at virtual time t (clamped to now like AtCall).
+// The closure is a call-site allocation — hot paths use AtCall.
+func (e *Engine) At(t Clock, fn func()) { e.AtCall(t, callFn, fn) }
 
-// dispatchTop fires the (live) minimum entry. The slot is released before
-// the payload runs, so a callback may re-arm freely; its own Timer handle
-// is already stale by then.
-func (e *Engine) dispatchTop(ent heapEntry, rec *slotRec) {
-	e.popTop()
-	e.now = ent.at
-	fn, cb, arg := rec.fn, rec.cb, rec.arg
-	rec.gen++
-	rec.fn, rec.cb, rec.arg = nil, nil, nil
-	e.free = append(e.free, ent.slot)
-	e.live--
-	e.dispatched++
-	if e.dispatched&(progressStride-1) == 0 {
-		e.publishProgress()
-	}
-	if cb != nil {
-		cb(arg)
-	} else {
-		fn()
-	}
-}
+// After schedules fn to run d from now.
+func (e *Engine) After(d Clock, fn func()) { e.AtCall(e.now+d, callFn, fn) }
 
 // publishProgress refreshes the atomic mirror of the progress counters.
 func (e *Engine) publishProgress() {
 	e.progress.simNs.Store(int64(e.now))
 	e.progress.events.Store(e.dispatched)
-	e.progress.pending.Store(int64(e.live))
+	e.progress.pending.Store(int64(len(e.heap)))
 }
 
 // Progress returns virtual time (ns), total dispatched events, and
-// pending timers from the atomic mirror. Unlike Now/Pending it is safe
+// pending events from the atomic mirror. Unlike Now/Pending it is safe
 // to call from other goroutines while the engine runs; values lag the
 // dispatch loop by at most progressStride events. It implements
 // telemetry.ProgressSource.
@@ -286,18 +187,21 @@ func (e *Engine) Progress() (simNs, events, pending int64) {
 // would pass until. The clock is left at the time of the last dispatched
 // event, or at until if the queue drained earlier.
 func (e *Engine) Run(until Clock) {
-	e.halted = false
-	for len(e.heap) > 0 && !e.halted {
+	for len(e.heap) > 0 && e.heap[0].at <= until {
 		ent := e.heap[0]
-		rec := &e.slots[ent.slot]
-		if rec.gen != ent.gen { // cancelled; discard lazily
-			e.popTop()
-			continue
+		n := len(e.heap) - 1
+		e.heap[0] = e.heap[n]
+		e.heap[n] = heapEntry{} // drop the payload reference
+		e.heap = e.heap[:n]
+		if n > 0 {
+			e.siftDown(0)
 		}
-		if ent.at > until {
-			break
+		e.now = ent.at
+		e.dispatched++
+		if e.dispatched&(progressStride-1) == 0 {
+			e.publishProgress()
 		}
-		e.dispatchTop(ent, rec)
+		ent.cb(ent.arg)
 	}
 	if e.now < until {
 		e.now = until
@@ -305,35 +209,5 @@ func (e *Engine) Run(until Clock) {
 	e.publishProgress() // exact totals once the loop hands control back
 }
 
-// Step dispatches the single next pending event and reports whether one
-// was dispatched.
-func (e *Engine) Step() bool {
-	for len(e.heap) > 0 {
-		ent := e.heap[0]
-		rec := &e.slots[ent.slot]
-		if rec.gen != ent.gen {
-			e.popTop()
-			continue
-		}
-		e.dispatchTop(ent, rec)
-		return true
-	}
-	return false
-}
-
-// Pending returns the number of scheduled (non-cancelled) events in O(1),
-// maintained as a live counter across schedule/cancel/dispatch.
-func (e *Engine) Pending() int { return e.live }
-
-// pendingLinear recounts live events by scanning the heap — the O(n)
-// definition Pending used to implement. Tests assert the counter against
-// it.
-func (e *Engine) pendingLinear() int {
-	n := 0
-	for i := range e.heap {
-		if e.slots[e.heap[i].slot].gen == e.heap[i].gen {
-			n++
-		}
-	}
-	return n
-}
+// Pending returns the number of scheduled events not yet dispatched.
+func (e *Engine) Pending() int { return len(e.heap) }

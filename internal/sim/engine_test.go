@@ -54,22 +54,6 @@ func TestAfterUsesCurrentTime(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	e := New(1)
-	fired := false
-	tm := e.At(10*time.Millisecond, func() { fired = true })
-	e.Cancel(tm)
-	e.Run(time.Second)
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	// Double-cancel and cancel-after-fire must not panic.
-	e.Cancel(tm)
-	tm2 := e.At(e.Now()+time.Millisecond, func() {})
-	e.Run(e.Now() + time.Second)
-	e.Cancel(tm2)
-}
-
 func TestRunStopsAtUntil(t *testing.T) {
 	e := New(1)
 	fired := 0
@@ -97,37 +81,6 @@ func TestSchedulingInPastClampsToNow(t *testing.T) {
 	e.Run(time.Second)
 	if at != 10*time.Millisecond {
 		t.Fatalf("past event fired at %v, want clamp to 10ms", at)
-	}
-}
-
-func TestHalt(t *testing.T) {
-	e := New(1)
-	fired := 0
-	e.At(time.Millisecond, func() { fired++; e.Halt() })
-	e.At(2*time.Millisecond, func() { fired++ })
-	e.Run(time.Second)
-	if fired != 1 {
-		t.Fatalf("halt did not stop dispatch: fired=%d", fired)
-	}
-	e.Run(time.Second)
-	if fired != 2 {
-		t.Fatalf("resume after halt failed: fired=%d", fired)
-	}
-}
-
-func TestStep(t *testing.T) {
-	e := New(1)
-	n := 0
-	e.At(time.Millisecond, func() { n++ })
-	e.At(2*time.Millisecond, func() { n++ })
-	if !e.Step() || n != 1 {
-		t.Fatalf("first step: n=%d", n)
-	}
-	if !e.Step() || n != 2 {
-		t.Fatalf("second step: n=%d", n)
-	}
-	if e.Step() {
-		t.Fatal("step on empty queue reported an event")
 	}
 }
 
@@ -198,87 +151,6 @@ func TestSameInstantFIFOMixedAPIs(t *testing.T) {
 		if v != i {
 			t.Fatalf("mixed-API same-instant events fired out of order: %v", order)
 		}
-	}
-}
-
-// Pending's O(1) live counter must always agree with the O(n) scan it
-// replaced, across an adversarial schedule/cancel/dispatch mix.
-func TestPendingMatchesLinearCount(t *testing.T) {
-	e := New(3)
-	check := func(ctx string) {
-		t.Helper()
-		if got, want := e.Pending(), e.pendingLinear(); got != want {
-			t.Fatalf("%s: Pending() = %d, linear recount = %d", ctx, got, want)
-		}
-	}
-	var timers []Timer
-	for i := 0; i < 100; i++ {
-		timers = append(timers, e.At(time.Duration(i%17)*time.Millisecond, func() {}))
-	}
-	check("after scheduling")
-	for i := 0; i < len(timers); i += 3 {
-		e.Cancel(timers[i])
-	}
-	check("after cancels")
-	for i := 0; i < len(timers); i += 3 {
-		e.Cancel(timers[i]) // double-cancel must not double-decrement
-	}
-	check("after double-cancels")
-	for e.Step() {
-		check("mid-dispatch")
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("drained engine reports %d pending", e.Pending())
-	}
-	// Events cancelled from inside a callback.
-	var a, b Timer
-	a = e.After(time.Millisecond, func() {})
-	b = e.After(time.Millisecond, func() {})
-	e.After(0, func() { e.Cancel(a); e.Cancel(b) })
-	check("before cancel-inside-callback run")
-	e.Run(e.Now() + time.Second)
-	check("after cancel-inside-callback run")
-}
-
-// A Timer handle must go stale the moment its event fires, even when the
-// underlying slot is immediately reused by a new event: cancelling the
-// old handle must not kill the new tenant.
-func TestCancelStaleHandleAfterSlotReuse(t *testing.T) {
-	e := New(1)
-	fired := 0
-	old := e.At(time.Millisecond, func() { fired++ })
-	e.Run(time.Second) // fires; slot returns to the free list
-	// The next event recycles the same slot.
-	e.At(e.Now()+time.Millisecond, func() { fired++ })
-	e.Cancel(old) // stale: must be a no-op against the reused slot
-	e.Run(e.Now() + time.Second)
-	if fired != 2 {
-		t.Fatalf("stale Cancel killed a reused slot's event: fired=%d, want 2", fired)
-	}
-}
-
-// Re-arming from inside a firing callback must work: the firing event's
-// slot is released before the callback runs, and the fresh timer must be
-// independently cancellable.
-func TestRearmFromInsideCallback(t *testing.T) {
-	e := New(1)
-	fired := 0
-	var tm Timer
-	tm = e.After(time.Millisecond, func() {
-		fired++
-		e.Cancel(tm) // self-cancel after fire: stale, must not disturb anything
-		tm = e.After(time.Millisecond, func() { fired++ })
-	})
-	e.Run(time.Second)
-	if fired != 2 {
-		t.Fatalf("re-armed callback chain fired %d times, want 2", fired)
-	}
-	// Re-arm again, then cancel the fresh timer before it fires.
-	tm = e.After(time.Millisecond, func() { fired++ })
-	e.Cancel(tm)
-	e.Run(e.Now() + time.Second)
-	if fired != 2 {
-		t.Fatalf("cancelled re-armed timer fired anyway: fired=%d", fired)
 	}
 }
 
