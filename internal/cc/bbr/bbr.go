@@ -18,6 +18,11 @@ const (
 	probeRTTSecs = 0.2
 	minRTTWindow = 10 * time.Second
 	bwWindowRTTs = 10
+
+	// bwCompactMin is the dead prefix, in samples, below which the
+	// bandwidth filter never compacts; past it, it compacts once the
+	// dead prefix is at least half the slice.
+	bwCompactMin = 1024
 )
 
 // probeGains is the PROBE_BW pacing-gain cycle.
@@ -56,8 +61,14 @@ type BBR struct {
 	cfg cc.Config
 	mss float64
 
-	st          state
-	bwFilter    []bwSample
+	st state
+
+	// Windowed-max bandwidth filter: a monotone deque, bwFilter[bwLo:],
+	// of samples in arrival order with strictly decreasing bw, so its
+	// front is the max of the window.
+	bwFilter []bwSample
+	bwLo     int
+
 	maxBW       float64
 	minRTT      time.Duration
 	minRTTAt    time.Duration
@@ -148,24 +159,30 @@ func (b *BBR) OnAck(a *cc.Ack) {
 	b.updateControls()
 }
 
+// updateBW adds a delivery-rate sample and sets maxBW to the largest
+// sample of the last bwWindowRTTs round trips. Each sample enters and
+// leaves the deque once, so the work is O(1) amortised per ACK.
 func (b *BBR) updateBW(now time.Duration, sample float64) {
 	window := time.Duration(bwWindowRTTs) * b.rtpropOr(100*time.Millisecond)
-	b.bwFilter = append(b.bwFilter, bwSample{at: now, bw: sample})
-	// Evict expired samples from the front.
-	cut := 0
-	for cut < len(b.bwFilter) && now-b.bwFilter[cut].at > window {
-		cut++
+	// An older sample no larger than the new one can never be the max
+	// again.
+	n := len(b.bwFilter)
+	for n > b.bwLo && b.bwFilter[n-1].bw <= sample {
+		n--
 	}
-	if cut > 0 {
-		b.bwFilter = b.bwFilter[cut:]
+	if n == b.bwLo {
+		n, b.bwLo = 0, 0
 	}
-	mx := 0.0
-	for _, s := range b.bwFilter {
-		if s.bw > mx {
-			mx = s.bw
-		}
+	b.bwFilter = append(b.bwFilter[:n], bwSample{at: now, bw: sample})
+	// Evict expired samples from the front; the new one, at now, stays.
+	for now-b.bwFilter[b.bwLo].at > window {
+		b.bwLo++
 	}
-	b.maxBW = mx
+	if b.bwLo >= bwCompactMin && 2*b.bwLo >= len(b.bwFilter) {
+		n = copy(b.bwFilter, b.bwFilter[b.bwLo:])
+		b.bwFilter, b.bwLo = b.bwFilter[:n], 0
+	}
+	b.maxBW = b.bwFilter[b.bwLo].bw
 }
 
 func (b *BBR) rtpropOr(def time.Duration) time.Duration {
@@ -289,7 +306,7 @@ func (b *BBR) SeedRate(rate float64, now time.Duration) {
 	if rate <= 0 {
 		return
 	}
-	b.bwFilter = append(b.bwFilter[:0], bwSample{at: now, bw: rate})
+	b.bwFilter, b.bwLo = append(b.bwFilter[:0], bwSample{at: now, bw: rate}), 0
 	b.maxBW = rate
 	if b.st == stStartup || b.st == stDrain {
 		b.st = stProbeBW

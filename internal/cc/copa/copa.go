@@ -14,6 +14,11 @@ import (
 // DefaultDelta is Copa's default aggressiveness parameter.
 const DefaultDelta = 0.5
 
+// standCompactMin is the dead prefix, in samples, below which the
+// RTTstanding filter never compacts; past it, it compacts once the dead
+// prefix is at least half the slice.
+const standCompactMin = 1024
+
 // Copa is a Copa controller. Construct with New.
 type Copa struct {
 	cfg   cc.Config
@@ -22,8 +27,11 @@ type Copa struct {
 
 	cwnd float64 // bytes
 
-	// RTTstanding: min RTT over the most recent srtt/2 window.
+	// RTTstanding, the min RTT over the most recent srtt/2, is the front
+	// of a monotone deque, standWin[standLo:]: samples in arrival order
+	// with strictly increasing rtt.
 	standWin []rttSample
+	standLo  int
 	minRTT   time.Duration
 
 	velocity   float64
@@ -67,22 +75,7 @@ func (c *Copa) OnAck(a *cc.Ack) {
 	if c.minRTT == 0 || a.RTT < c.minRTT {
 		c.minRTT = a.RTT
 	}
-	// Maintain RTTstanding window (srtt/2).
-	c.standWin = append(c.standWin, rttSample{at: a.Now, rtt: a.RTT})
-	win := a.SRTT / 2
-	cut := 0
-	for cut < len(c.standWin) && a.Now-c.standWin[cut].at > win {
-		cut++
-	}
-	if cut > 0 {
-		c.standWin = c.standWin[cut:]
-	}
-	standing := a.RTT
-	for _, s := range c.standWin {
-		if s.rtt < standing {
-			standing = s.rtt
-		}
-	}
+	standing := c.updateStanding(a.Now, a.RTT, a.SRTT/2)
 
 	dq := (standing - c.minRTT).Seconds()
 	// Competitive-mode bookkeeping: remember the last time the queue was
@@ -120,6 +113,31 @@ func (c *Copa) OnAck(a *cc.Ack) {
 	} else {
 		c.cwnd = math.Max(c.cwnd-step, 2*c.mss)
 	}
+}
+
+// updateStanding adds an RTT sample and returns the min RTT of the last
+// win. Each sample enters and leaves the deque once, so the work is O(1)
+// amortised per ACK.
+func (c *Copa) updateStanding(now, rtt, win time.Duration) time.Duration {
+	// An older sample no smaller than the new one can never be the min
+	// again.
+	n := len(c.standWin)
+	for n > c.standLo && c.standWin[n-1].rtt >= rtt {
+		n--
+	}
+	if n == c.standLo {
+		n, c.standLo = 0, 0
+	}
+	c.standWin = append(c.standWin[:n], rttSample{at: now, rtt: rtt})
+	// Evict expired samples from the front; the new one, at now, stays.
+	for now-c.standWin[c.standLo].at > win {
+		c.standLo++
+	}
+	if c.standLo >= standCompactMin && 2*c.standLo >= len(c.standWin) {
+		n = copy(c.standWin, c.standWin[c.standLo:])
+		c.standWin, c.standLo = c.standWin[:n], 0
+	}
+	return c.standWin[c.standLo].rtt
 }
 
 func (c *Copa) updateVelocity(a *cc.Ack, dir int) {

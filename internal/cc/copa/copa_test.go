@@ -1,6 +1,7 @@
 package copa
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -102,5 +103,61 @@ func TestSharesWithSelf(t *testing.T) {
 	ratio := a.Throughput / (a.Throughput + b.Throughput)
 	if ratio < 0.3 || ratio > 0.7 {
 		t.Fatalf("two Copa flows split %.2f/%.2f", ratio, 1-ratio)
+	}
+}
+
+// fullScanMin is the RTTstanding filter as a full scan: append the
+// sample, cut the expired prefix, take the min of what is left.
+type fullScanMin []rttSample
+
+func (r *fullScanMin) add(now, rtt, win time.Duration) time.Duration {
+	*r = append(*r, rttSample{at: now, rtt: rtt})
+	cut := 0
+	for cut < len(*r) && now-(*r)[cut].at > win {
+		cut++
+	}
+	*r = (*r)[cut:]
+	standing := rtt
+	for _, s := range *r {
+		if s.rtt < standing {
+			standing = s.rtt
+		}
+	}
+	return standing
+}
+
+// TestStandingRTTMatchesFullScan feeds a seeded ACK stream through
+// OnAck and checks after every ACK that the standing RTT equals a full
+// scan of the same samples over the same srtt/2 window. SRTT rises and
+// falls, so the window grows and shrinks; the stream has tied and
+// same-instant samples and a strictly increasing run long enough to
+// compact the deque.
+func TestStandingRTTMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	c := New(cc.Config{})
+	var ref fullScanMin
+	now := time.Duration(0)
+	compactions := 0
+	for i := 0; i < 20000; i++ {
+		now += time.Duration(rng.Intn(200)) * time.Microsecond
+		// SRTT is a triangle wave between 10 and 410 ms.
+		phase := i % 8000
+		srtt := 10*time.Millisecond + time.Duration(min(phase, 8000-phase))*100*time.Microsecond
+		rtt := time.Duration(40+rng.Intn(8)) * time.Millisecond // few values: ties
+		if i >= 4000 && i < 12000 {
+			rtt = 40*time.Millisecond + time.Duration(i)*time.Microsecond // strictly increasing: the deque grows
+		}
+		want := ref.add(now, rtt, srtt/2)
+		lo := c.standLo
+		c.OnAck(&cc.Ack{Now: now, RTT: rtt, SRTT: srtt, MinRTT: 40 * time.Millisecond, Acked: 1500})
+		if got := c.standWin[c.standLo].rtt; got != want {
+			t.Fatalf("ack %d: standing RTT %v, full scan %v", i, got, want)
+		}
+		if c.standLo < lo && len(c.standWin) > 1 {
+			compactions++
+		}
+	}
+	if compactions == 0 {
+		t.Fatal("the stream never compacted the deque")
 	}
 }

@@ -10,6 +10,11 @@ import (
 // which an outstanding packet is declared lost.
 const reorderThreshold = 3
 
+// compactMin is the dead prefix, in entries, below which the in-flight
+// log never compacts: past it, the log compacts once the dead prefix is
+// at least half the slice, so each entry is copied O(1) times amortised.
+const compactMin = 1024
+
 // rtoMin and rtoMax bound the retransmission-timeout estimate.
 const (
 	rtoMin = 200 * time.Millisecond
@@ -89,9 +94,13 @@ type Flow struct {
 	appTokens float64
 	appLast   time.Duration
 
+	// The in-flight log is inflight[lo:]; inflight[lo] has sequence
+	// headSeq. Resolved entries at the head are dropped by moving lo,
+	// not by copying the slice down; see popResolved.
 	nextSeq       int64
 	headSeq       int64
 	inflight      []pktState
+	lo            int
 	inflightBytes int
 
 	delivered int64
@@ -291,8 +300,8 @@ func (f *Flow) onAck(p *Packet) {
 	seq, size, sentAt, deliveredAtSend, ce := p.Seq, p.Size, p.SentAt, p.DeliveredAtSend, p.CE
 	f.topo.pool.put(p)
 	now := f.topo.Eng.Now()
-	idx := int(seq - f.headSeq)
-	if idx < 0 || idx >= len(f.inflight) || f.inflight[idx].done {
+	idx := f.lo + int(seq-f.headSeq)
+	if idx < f.lo || idx >= len(f.inflight) || f.inflight[idx].done {
 		return // duplicate or already resolved
 	}
 	f.inflight[idx].done = true
@@ -322,7 +331,7 @@ func (f *Flow) onAck(p *Packet) {
 	// reorderThreshold behind the acknowledged one are lost.
 	lost := 0
 	var lostSentAt time.Duration
-	for i := 0; i < idx-reorderThreshold; i++ {
+	for i := f.lo; i < idx-reorderThreshold; i++ {
 		if !f.inflight[i].done {
 			f.inflight[i].done = true
 			f.inflightBytes -= f.inflight[i].size
@@ -362,15 +371,21 @@ func (f *Flow) onAck(p *Packet) {
 	f.trySend()
 }
 
+// popResolved moves the head past resolved entries, resetting the log
+// when it empties and compacting it as compactMin describes.
 func (f *Flow) popResolved() {
-	i := 0
+	i := f.lo
 	for i < len(f.inflight) && f.inflight[i].done {
 		i++
 	}
-	if i > 0 {
-		n := copy(f.inflight, f.inflight[i:])
-		f.inflight = f.inflight[:n]
-		f.headSeq += int64(i)
+	f.headSeq += int64(i - f.lo)
+	f.lo = i
+	switch {
+	case f.lo == len(f.inflight):
+		f.inflight, f.lo = f.inflight[:0], 0
+	case f.lo >= compactMin && 2*f.lo >= len(f.inflight):
+		n := copy(f.inflight, f.inflight[f.lo:])
+		f.inflight, f.lo = f.inflight[:n], 0
 	}
 }
 
@@ -457,7 +472,7 @@ func (f *Flow) onRTO() {
 	now := f.topo.Eng.Now()
 	lost := 0
 	var lostSentAt time.Duration
-	for i := range f.inflight {
+	for i := f.lo; i < len(f.inflight); i++ {
 		if !f.inflight[i].done {
 			f.inflight[i].done = true
 			if lost == 0 {
@@ -466,7 +481,7 @@ func (f *Flow) onRTO() {
 			lost += f.inflight[i].size
 		}
 	}
-	f.inflight = f.inflight[:0]
+	f.inflight, f.lo = f.inflight[:0], 0
 	f.headSeq = f.nextSeq
 	f.inflightBytes = 0
 	if lost == 0 {
